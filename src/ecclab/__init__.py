@@ -26,9 +26,7 @@ from .graphs import (
     bfs_distances,
     build_graph,
     connected_components,
-    find_isomorphism,
     girth,
-    graph_union,
     is_connected,
 )
 from .intmatrix import (

@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success (or all checks passed), 1 a verification suite
-reported failures, 2 usage or input error.
+reported failures or checked no case, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .serialize import (
     matrix_to_dict,
     save_graph,
 )
-from .suites import SUITE_NAMES, report_to_dict, run_suite
+from .suites import SUITE_NAMES, run_suite
 from .trees import ENUMERATION_MAX_VERTICES, random_tree
 
 GEN_FAMILIES = FAMILIES + ("random-tree",)
@@ -98,13 +99,23 @@ def cmd_det(args: argparse.Namespace) -> int:
     return 0
 
 
+def _jobs(args: argparse.Namespace) -> int:
+    if args.jobs is not None:
+        return args.jobs
+    value = os.environ.get("ECCLAB_JOBS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"ECCLAB_JOBS must be an integer, got {value!r}") from None
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     report = run_suite(
         args.suite,
         trees_max_n=args.trees_max_n,
         samples=args.samples,
         seed=args.seed,
-        jobs=args.jobs,
+        jobs=_jobs(args),
     )
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {report.check_name}: {report.pass_count} passed, "
@@ -114,7 +125,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"  first failure: {json.dumps(report.first_failure_witness)}")
     report_path = args.report or f"{args.suite}-report.json"
     with open(report_path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
+        json.dump(dataclasses.asdict(report), fh, indent=2)
         fh.write("\n")
     return 0 if report.passed else 1
 
@@ -135,9 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ecc = sub.add_parser("ecc", help="eccentric graph or eccentricity matrix of a graph")
     p_ecc.add_argument("input")
-    group = p_ecc.add_mutually_exclusive_group()
-    group.add_argument("--matrix", action="store_true")
-    group.add_argument("--graph", action="store_true")
+    p_ecc.add_argument("--matrix", action="store_true")
     p_ecc.add_argument("--format", choices=("json", "dot"), default="json")
     p_ecc.add_argument("-o", "--output")
     p_ecc.set_defaults(func=cmd_ecc)
@@ -157,9 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trees-max-n", type=int, default=ENUMERATION_MAX_VERTICES)
     p_check.add_argument("--samples", type=int, default=None)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("ECCLAB_JOBS", "1"))
-    )
+    p_check.add_argument("--jobs", type=int, help="worker processes (default: ECCLAB_JOBS or 1)")
     p_check.add_argument("--report", help="path for the JSON report")
     p_check.set_defaults(func=cmd_check)
 

@@ -18,20 +18,14 @@ from .intmatrix import IntMatrix
 
 @dataclass(frozen=True)
 class EccentricityProfile:
-    """Distances plus, per vertex v, the set of vertices eccentric to v."""
+    """A graph with its distances and eccentricities, for is_eccentric."""
 
     graph: Graph
     distances: DistanceData
-    eccentric_sets: tuple[tuple[int, ...], ...]
 
 
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
-    dd = all_pairs_distances(g)
-    sets = tuple(
-        tuple(u for u in range(g.num_vertices) if dd.dist[v][u] == dd.ecc[v])
-        for v in range(g.num_vertices)
-    )
-    return EccentricityProfile(graph=g, distances=dd, eccentric_sets=sets)
+    return EccentricityProfile(graph=g, distances=all_pairs_distances(g))
 
 
 def is_eccentric(p: EccentricityProfile, u: int, v: int) -> bool:

@@ -28,8 +28,6 @@ FAMILIES = (
     "hypercube",
 )
 
-ECCENTRIC_FAMILIES = ("path", "cycle", "star", "complete", "complete_bipartite")
-
 
 @dataclass(frozen=True)
 class FamilySpec:

@@ -1,4 +1,4 @@
-"""Core graph representation: distances, girth, union, small-graph isomorphism.
+"""Core graph representation: distances, girth, components, relabeling.
 
 Vertices are contiguous 0-based integers. Graphs are immutable value types;
 all derived data (distance tables, eccentricities) is computed on demand.
@@ -6,14 +6,12 @@ all derived data (distance tables, eccentricities) is computed on demand.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import DisconnectedGraphError, InputError, UnsupportedSizeError
-
-ISOMORPHISM_VERTEX_LIMIT = 16
+from .errors import DisconnectedGraphError, InputError
 
 
 @dataclass(frozen=True)
@@ -179,81 +177,9 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return components
 
 
-def graph_union(a: Graph, b: Graph) -> Graph:
-    """Union of edge sets over a common vertex set (matched by index)."""
-    if a.num_vertices != b.num_vertices:
-        raise InputError(
-            f"vertex counts differ: {a.num_vertices} vs {b.num_vertices}"
-        )
-    return _graph_unchecked(a.num_vertices, a.edges + b.edges)
-
-
 def apply_vertex_map(g: Graph, mapping: Iterable[int]) -> Graph:
     """Relabel ``g`` by a permutation of ``0..n-1``."""
     perm = tuple(mapping)
     if sorted(perm) != list(range(g.num_vertices)):
         raise InputError("mapping is not a permutation of the vertex set")
     return _graph_unchecked(g.num_vertices, ((perm[u], perm[v]) for u, v in g.edges))
-
-
-def _neighbor_degree_key(g: Graph, v: int) -> tuple[int, tuple[int, ...]]:
-    return g.degree(v), tuple(sorted(g.degree(w) for w in g.adjacency[v]))
-
-
-def find_isomorphism(a: Graph, b: Graph) -> Optional[tuple[int, ...]]:
-    """Backtracking isomorphism search for graphs up to 16 vertices.
-
-    Returns a vertex map ``f`` (as a tuple indexed by vertices of ``a``)
-    with ``{u,v} in a  <=>  {f(u),f(v)} in b``, or None.
-    """
-    if a.num_vertices > ISOMORPHISM_VERTEX_LIMIT or b.num_vertices > ISOMORPHISM_VERTEX_LIMIT:
-        raise UnsupportedSizeError(
-            f"isomorphism search is limited to {ISOMORPHISM_VERTEX_LIMIT} vertices"
-        )
-    n = a.num_vertices
-    if n != b.num_vertices or a.num_edges != b.num_edges:
-        return None
-    keys_a = [_neighbor_degree_key(a, v) for v in range(n)]
-    keys_b = [_neighbor_degree_key(b, v) for v in range(n)]
-    if Counter(keys_a) != Counter(keys_b):
-        return None
-
-    adj_a = [set(nb) for nb in a.adjacency]
-    adj_b = [set(nb) for nb in b.adjacency]
-    # Assign high-degree vertices first; they constrain the search the most.
-    order = sorted(range(n), key=lambda v: -a.degree(v))
-    mapping: list[int] = [-1] * n
-    used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        u = order[pos]
-        for v in range(n):
-            if used[v] or keys_a[u] != keys_b[v]:
-                continue
-            ok = True
-            for w in adj_a[u]:
-                fw = mapping[w]
-                if fw >= 0 and fw not in adj_b[v]:
-                    ok = False
-                    break
-            if ok:
-                for w in range(n):
-                    fw = mapping[w]
-                    if fw >= 0 and w not in adj_a[u] and fw in adj_b[v]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[u] = v
-            used[v] = True
-            if extend(pos + 1):
-                return True
-            mapping[u] = -1
-            used[v] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .eccentric import eccentricity_matrix
-from .errors import SizeCapError
-from .families import star
+from .errors import InputError, SizeCapError
+from .families import path, star
 from .graphs import Graph
-from .intmatrix import IntMatrix, determinant
+from .intmatrix import determinant
 from .products import cartesian_product
 from .trees import Tree, is_p2, is_p4, is_star
 
@@ -82,13 +82,11 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
     With a = smallest nonzero entry and b = largest entry of the matrix,
     the block structure predicts |det| = (n * a^2 * b^(n-1)) ^ (2^j).
     """
-    from .errors import InputError
-
     if n_leaves < 2:
         raise InputError("probe needs a star with at least two leaves")
     if num_p2 not in (0, 1, 2, 3):
         raise InputError("num_p2 must be in 0..3")
-    factors = [Tree(star(n_leaves))] + [Tree(_p2())] * num_p2
+    factors = [Tree(star(n_leaves))] + [Tree(path(2))] * num_p2
     matrix = eccentricity_matrix(_product_graph(factors))
     det = determinant(matrix)
     nonzero = [x for row in matrix.entries for x in row if x != 0]
@@ -105,20 +103,3 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
         factored_form=form,
         matches=abs(det) == predicted_abs,
     )
-
-
-def _p2() -> Graph:
-    from .families import path
-
-    return path(2)
-
-
-def hypercube_eccentricity_is_scaled_antidiagonal(k: int) -> bool:
-    """E(P_2^k) equals k * J_{2^k} under binary vertex ordering."""
-    from .families import hypercube
-    from .intmatrix import antidiagonal_j
-
-    matrix = eccentricity_matrix(hypercube(k))
-    j = antidiagonal_j(2**k)
-    expected = tuple(tuple(k * x for x in row) for row in j.entries)
-    return matrix.entries == expected

@@ -5,11 +5,17 @@ samples, or small parameter grids) and compares a predicted closed form
 against an independently computed value, reporting counts and the first
 failure witness. All randomized corpora are driven by an explicit seed so
 any reported failure is replayable.
+
+A suite is a :class:`Suite` record in :data:`SUITES`: its corpus function
+splits the cases into picklable chunks, and one runner checks the chunks
+serially or over a process pool. The checks reach the library through this
+module's globals, so rebinding a name here (as a tracer does) reaches them.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,13 +25,7 @@ from typing import Callable, Iterable, Optional
 from .eccentric import eccentric_girth, eccentric_graph
 from .errors import InputError
 from .families import complete, cycle, hypercube, path, star
-from .graphs import (
-    Graph,
-    all_pairs_distances,
-    apply_vertex_map,
-    connected_components,
-    girth,
-)
+from .graphs import Graph, apply_vertex_map, connected_components, girth
 from .intmatrix import IntMatrix, determinant, determinant_oracle, kronecker_matrix
 from .invertibility import check_invertibility_classification
 from .products import (
@@ -42,16 +42,20 @@ from .products import (
 from .trees import (
     ENUMERATION_MAX_VERTICES,
     Tree,
-    _tree_unchecked,
+    _prufer_trees,
     check_monotone_exclusion,
     check_structure_theorem,
     predicted_tree_girth,
-    prufer_decode,
     random_tree,
 )
 
 RANDOM_TREE_MIN = 9
 RANDOM_TREE_MAX = 40
+CHUNK_SIZE = 25
+
+# A chunk is a generator function and its arguments; a worker process
+# re-derives the chunk's cases from them.
+Chunk = tuple[Callable[..., Iterable], tuple]
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,19 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.fail_count == 0
+        """No case failed, and at least one case was checked."""
+        return self.fail_count == 0 and self.pass_count > 0
+
+
+@dataclass(frozen=True)
+class Suite:
+    """``corpus(trees_max_n, samples, seed)`` returns a description of the
+    cases and their chunks; ``check(case)`` returns ``(ok, witness)``."""
+
+    name: str
+    default_samples: int
+    corpus: Callable[[int, int, int], tuple[str, list[Chunk]]]
+    check: Callable[[object], tuple[bool, Optional[dict]]]
 
 
 def _witness(input_desc, expected, actual) -> dict:
@@ -77,11 +93,49 @@ def _tree_desc(t: Tree) -> dict:
     return {"num_vertices": t.num_vertices, "edges": [list(e) for e in t.graph.edges]}
 
 
+def _factors_desc(factors) -> list[dict]:
+    return [
+        {"num_vertices": g.num_vertices, "edges": [list(e) for e in g.edges]}
+        for g in factors
+    ]
+
+
+def _drawn(cases: list) -> list[Chunk]:
+    """Chunks over cases already drawn in this process."""
+    return [(iter, (cases[i:i + CHUNK_SIZE],)) for i in range(0, len(cases), CHUNK_SIZE)]
+
+
 # ---------------------------------------------------------------------------
-# Tree-corpus suites (exhaustive n <= trees_max_n plus seeded random trees).
-# These are the heavy sweeps, so they are chunked for optional process
-# parallelism; a chunk re-derives its trees from (n, first Prüfer symbol)
-# or a contiguous sample-index range.
+# Tree suites: exhaustive labeled trees with 2..trees_max_n vertices, one
+# chunk per (n, first Prüfer symbol), plus seeded random trees, one chunk
+# per contiguous range of sample indices.
+
+def _random_trees(seed: int, start: int, count: int) -> Iterable[Tree]:
+    for i in range(start, start + count):
+        rng = random.Random(seed * 1_000_003 + i)
+        n = rng.randint(RANDOM_TREE_MIN, RANDOM_TREE_MAX)
+        yield random_tree(n, seed=rng.randrange(2**31))
+
+
+def _tree_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+    if not 2 <= trees_max_n <= ENUMERATION_MAX_VERTICES:
+        raise InputError(
+            f"trees_max_n must be in 2..{ENUMERATION_MAX_VERTICES}, got {trees_max_n}"
+        )
+    chunks: list[Chunk] = []
+    for n in range(2, trees_max_n + 1):
+        if n <= 3:
+            chunks.append((_prufer_trees, (n, ())))
+        else:
+            chunks.extend((_prufer_trees, (n, (first,))) for first in range(n))
+    for start in range(0, samples, CHUNK_SIZE):
+        chunks.append((_random_trees, (seed, start, min(CHUNK_SIZE, samples - start))))
+    corpus = (
+        f"all labeled trees with 2..{trees_max_n} vertices plus {samples} random "
+        f"trees with {RANDOM_TREE_MIN}..{RANDOM_TREE_MAX} vertices (seed {seed})"
+    )
+    return corpus, chunks
+
 
 def _check_tree_girth(t: Tree):
     expected = predicted_tree_girth(t)
@@ -104,99 +158,8 @@ def _check_tree_monotone(t: Tree):
     return False, _witness(_tree_desc(t), "no increasing 2-path", "increasing 2-path found")
 
 
-_TREE_CHECKS: dict[str, Callable] = {
-    "tree-girth": _check_tree_girth,
-    "structure": _check_tree_structure,
-    "monotone": _check_tree_monotone,
-}
-
-
-def _exhaustive_chunk(n: int, first: Optional[int]) -> Iterable[Tree]:
-    if n <= 3 or first is None:
-        tail_len = max(n - 2, 0)
-        prefix: tuple[int, ...] = ()
-    else:
-        tail_len = n - 3
-        prefix = (first,)
-    for tail in itertools.product(range(n), repeat=tail_len):
-        yield _tree_unchecked(n, prufer_decode(prefix + tail, n))
-
-
-def _random_chunk(seed: int, start: int, count: int) -> Iterable[Tree]:
-    for i in range(start, start + count):
-        rng = random.Random(seed * 1_000_003 + i)
-        n = rng.randint(RANDOM_TREE_MIN, RANDOM_TREE_MAX)
-        yield random_tree(n, seed=rng.randrange(2**31))
-
-
-def _tree_chunks(trees_max_n: int, samples: int, seed: int) -> list[tuple]:
-    chunks: list[tuple] = []
-    for n in range(2, trees_max_n + 1):
-        if n <= 3:
-            chunks.append(("exh", n, None))
-        else:
-            chunks.extend(("exh", n, first) for first in range(n))
-    step = 100
-    for start in range(0, samples, step):
-        chunks.append(("rand", seed, start, min(step, samples - start)))
-    return chunks
-
-
-def _run_tree_chunk(args: tuple) -> tuple[int, int, Optional[dict]]:
-    check_name, chunk = args
-    check = _TREE_CHECKS[check_name]
-    if chunk[0] == "exh":
-        trees = _exhaustive_chunk(chunk[1], chunk[2])
-    else:
-        trees = _random_chunk(chunk[1], chunk[2], chunk[3])
-    passed = failed = 0
-    witness = None
-    for t in trees:
-        ok, w = check(t)
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-            if witness is None:
-                witness = w
-    return passed, failed, witness
-
-
-def _run_tree_suite(
-    check_name: str, trees_max_n: int, samples: int, seed: int, jobs: int
-) -> CheckReport:
-    if not 2 <= trees_max_n <= ENUMERATION_MAX_VERTICES:
-        raise InputError(
-            f"trees_max_n must be in 2..{ENUMERATION_MAX_VERTICES}, got {trees_max_n}"
-        )
-    start = time.perf_counter()
-    chunks = _tree_chunks(trees_max_n, samples, seed)
-    work = [(check_name, c) for c in chunks]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_tree_chunk, work))
-    else:
-        results = [_run_tree_chunk(w) for w in work]
-    passed = sum(r[0] for r in results)
-    failed = sum(r[1] for r in results)
-    witness = next((r[2] for r in results if r[2] is not None), None)
-    corpus = (
-        f"all labeled trees with 2..{trees_max_n} vertices plus {samples} random "
-        f"trees with {RANDOM_TREE_MIN}..{RANDOM_TREE_MAX} vertices (seed {seed})"
-    )
-    return CheckReport(
-        check_name=check_name,
-        corpus=corpus,
-        pass_count=passed,
-        fail_count=failed,
-        first_failure_witness=witness,
-        wall_time=time.perf_counter() - start,
-        seed=seed,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Product suites.
+# Product suites. Random corpora are drawn here, in the calling process.
 
 def _random_product_factors(rng: random.Random) -> list[Graph]:
     factors = []
@@ -211,45 +174,23 @@ def _random_product_factors(rng: random.Random) -> list[Graph]:
     return factors
 
 
-def _factors_desc(factors) -> list[dict]:
-    return [
-        {"num_vertices": g.num_vertices, "edges": [list(e) for e in g.edges]}
-        for g in factors
-    ]
-
-
-def _suite_additivity(samples: int, seed: int) -> tuple[str, int, int, Optional[dict]]:
+def _factors_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
     rng = random.Random(seed)
-    passed = failed = 0
-    witness = None
-    for _ in range(samples):
-        factors = _random_product_factors(rng)
-        if check_additivity(factors):
-            passed += 1
-        else:
-            failed += 1
-            if witness is None:
-                witness = _witness(_factors_desc(factors), "additive distances", "mismatch")
+    cases = [_random_product_factors(rng) for _ in range(samples)]
     corpus = f"{samples} seeded products of 2..3 factors on up to 6 vertices (seed {seed})"
-    return corpus, passed, failed, witness
+    return corpus, _drawn(cases)
 
 
-def _suite_componentwise(samples: int, seed: int) -> tuple[str, int, int, Optional[dict]]:
-    rng = random.Random(seed)
-    passed = failed = 0
-    witness = None
-    for _ in range(samples):
-        factors = _random_product_factors(rng)
-        if check_componentwise_eccentric(factors):
-            passed += 1
-        else:
-            failed += 1
-            if witness is None:
-                witness = _witness(
-                    _factors_desc(factors), "componentwise equivalence", "mismatch"
-                )
-    corpus = f"{samples} seeded products of 2..3 factors on up to 6 vertices (seed {seed})"
-    return corpus, passed, failed, witness
+def _check_additivity(factors: list[Graph]):
+    if check_additivity(factors):
+        return True, None
+    return False, _witness(_factors_desc(factors), "additive distances", "mismatch")
+
+
+def _check_componentwise(factors: list[Graph]):
+    if check_componentwise_eccentric(factors):
+        return True, None
+    return False, _witness(_factors_desc(factors), "componentwise equivalence", "mismatch")
 
 
 def _random_tree_tuple(rng: random.Random) -> list[Tree]:
@@ -263,70 +204,65 @@ def _random_tree_tuple(rng: random.Random) -> list[Tree]:
             return [random_tree(s, seed=rng.randrange(2**31)) for s in sizes]
 
 
-def _fixed_tree_product_cases() -> list[list[Tree]]:
+def _tree_tuple_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
     p = lambda n: Tree(path(n))
     even_diam = Tree(path(3))  # diameter 2
-    return [
+    fixed = [
         [p(3), p(2)],
         [Tree(star(3)), p(2)],
         [p(8), p(6)],
         [even_diam, even_diam, even_diam],
     ]
-
-
-def _suite_product_girth(samples: int, seed: int) -> tuple[str, int, int, Optional[dict]]:
     rng = random.Random(seed)
-    passed = failed = 0
-    witness = None
-    cases = _fixed_tree_product_cases() + [_random_tree_tuple(rng) for _ in range(samples)]
-    for factor_trees in cases:
-        expected = predicted_tree_product_girth(factor_trees)
-        product, _ = cartesian_product([t.graph for t in factor_trees])
-        actual = eccentric_girth(product)
-        if actual == expected:
-            passed += 1
-        else:
-            failed += 1
-            if witness is None:
-                witness = _witness(
-                    _factors_desc([t.graph for t in factor_trees]), expected, actual
-                )
+    cases = fixed + [_random_tree_tuple(rng) for _ in range(samples)]
     corpus = (
         f"4 fixed witnesses plus {samples} seeded tree tuples, k <= 3, "
         f"product <= 1000 vertices (seed {seed})"
     )
-    return corpus, passed, failed, witness
+    return corpus, _drawn(cases)
 
 
-def _suite_grid() -> tuple[str, int, int, Optional[dict]]:
-    passed = failed = 0
-    witness = None
-    for m in range(3, 9):
-        for n in range(3, 9):
-            product, _ = cartesian_product([path(m), path(n)])
-            actual = eccentric_graph(product)
-            predicted = grid_eccentric_closed_form(m, n)
-            if m % 2 == 0 and n % 2 == 0:
-                expected_girth = 0
-            elif m % 2 == 1 and n % 2 == 1:
-                expected_girth = 3
-            else:
-                expected_girth = 4
-            ok = actual == predicted and girth(actual) == expected_girth
-            if ok:
-                passed += 1
-            else:
-                failed += 1
-                if witness is None:
-                    witness = _witness(
-                        {"m": m, "n": n},
-                        {"edges": len(predicted.edges), "girth": expected_girth},
-                        {"edges": len(actual.edges), "girth": girth(actual)},
-                    )
-    return "grids P_m box P_n for 3 <= m, n <= 8", passed, failed, witness
+def _check_product_girth(factor_trees: list[Tree]):
+    expected = predicted_tree_product_girth(factor_trees)
+    product, _ = cartesian_product([t.graph for t in factor_trees])
+    actual = eccentric_girth(product)
+    if actual == expected:
+        return True, None
+    return False, _witness(_factors_desc([t.graph for t in factor_trees]), expected, actual)
 
 
-def _cycle_product_matches(n: int, m: int) -> tuple[bool, dict]:
+def _grid_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+    cases = [(m, n) for m in range(3, 9) for n in range(3, 9)]
+    return "grids P_m box P_n for 3 <= m, n <= 8", _drawn(cases)
+
+
+def _check_grid(case: tuple[int, int]):
+    m, n = case
+    product, _ = cartesian_product([path(m), path(n)])
+    actual = eccentric_graph(product)
+    predicted = grid_eccentric_closed_form(m, n)
+    if m % 2 == 0 and n % 2 == 0:
+        expected_girth = 0
+    elif m % 2 == 1 and n % 2 == 1:
+        expected_girth = 3
+    else:
+        expected_girth = 4
+    if actual == predicted and girth(actual) == expected_girth:
+        return True, None
+    return False, _witness(
+        {"m": m, "n": n},
+        {"edges": len(predicted.edges), "girth": expected_girth},
+        {"edges": len(actual.edges), "girth": girth(actual)},
+    )
+
+
+def _cycle_product_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+    cases = [(n, m) for n in range(3, 11) for m in range(3, 11)]
+    return "cycle products C_n box C_m for 3 <= n, m <= 10", _drawn(cases)
+
+
+def _check_cycle_product(case: tuple[int, int]):
+    n, m = case
     report = cycle_product_structure(n, m)
     product, _ = cartesian_product([cycle(n), cycle(m)])
     eg = eccentric_graph(product)
@@ -353,94 +289,89 @@ def _cycle_product_matches(n: int, m: int) -> tuple[bool, dict]:
         )
     else:
         ok = actual["girth"] == report.predicted_girth
+    if ok:
+        return True, None
     expected = {
         "type": report.component_type,
         "girth": report.predicted_girth,
         "num_components": report.num_components,
         "component_length": report.component_length,
     }
-    return ok, _witness({"n": n, "m": m}, expected, actual)
+    return False, _witness({"n": n, "m": m}, expected, actual)
 
 
-def _suite_cycle_product() -> tuple[str, int, int, Optional[dict]]:
-    passed = failed = 0
-    witness = None
-    for n in range(3, 11):
-        for m in range(3, 11):
-            ok, w = _cycle_product_matches(n, m)
-            if ok:
-                passed += 1
-            else:
-                failed += 1
-                if witness is None:
-                    witness = w
-    return "cycle products C_n box C_m for 3 <= n, m <= 10", passed, failed, witness
+def _cncn_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+    return "C_n box C_n vs C_n x C_n for n in {3, 5, 7, 9}", _drawn([3, 5, 7, 9])
 
 
-def _suite_cncn_iso() -> tuple[str, int, int, Optional[dict]]:
-    passed = failed = 0
-    witness = None
-    for n in (3, 5, 7, 9):
-        perm = cn_cn_isomorphism(n)
-        box, _ = cartesian_product([cycle(n), cycle(n)])
-        tensor = kronecker_product_graph(cycle(n), cycle(n))
-        # Labeled equality of the relabeled box product and the tensor
-        # product checks edge preservation in both directions at once.
-        if apply_vertex_map(box, perm) == tensor:
-            passed += 1
-        else:
-            failed += 1
-            if witness is None:
-                witness = _witness({"n": n}, "isomorphic via closed-form map", "edge mismatch")
-    return "C_n box C_n vs C_n x C_n for n in {3, 5, 7, 9}", passed, failed, witness
+def _check_cncn_iso(n: int):
+    perm = cn_cn_isomorphism(n)
+    box, _ = cartesian_product([cycle(n), cycle(n)])
+    tensor = kronecker_product_graph(cycle(n), cycle(n))
+    # Labeled equality of the relabeled box product and the tensor
+    # product checks edge preservation in both directions at once.
+    if apply_vertex_map(box, perm) == tensor:
+        return True, None
+    return False, _witness({"n": n}, "isomorphic via closed-form map", "edge mismatch")
 
 
-def _suite_kronecker_det(samples: int, seed: int) -> tuple[str, int, int, Optional[dict]]:
+def _self_centered_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+    pool: list[Graph] = [cycle(n) for n in range(3, 9)]
+    pool += [complete(n) for n in range(2, 6)]
+    pool += [hypercube(k) for k in range(1, 6)]
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(pool, 2)
+        if a.num_vertices * b.num_vertices <= 64 * 64
+    ]
+    corpus = f"{len(pairs)} self-centered pairs (cycles, complete graphs, hypercubes)"
+    return corpus, _drawn(pairs)
+
+
+def _check_kronecker_correspondence(pair: tuple[Graph, Graph]):
+    if check_kronecker_correspondence(*pair):
+        return True, None
+    return False, _witness(_factors_desc(pair), "identity-map edge equality", "mismatch")
+
+
+def _random_matrix(rng: random.Random, n: int, bound: int) -> IntMatrix:
+    return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+
+
+def _matrix_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+    """One-matrix cases compare Bareiss with permutation expansion; two-matrix
+    cases check det(A (x) B) = det(A)^p det(B)^n."""
     rng = random.Random(seed)
-    passed = failed = 0
-    witness = None
-    for _ in range(samples):
-        n = rng.randint(1, 6)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        )
-        if determinant(m) == determinant_oracle(m):
-            passed += 1
-        else:
-            failed += 1
-            if witness is None:
-                witness = _witness(
-                    [list(r) for r in m.entries], determinant_oracle(m), determinant(m)
-                )
+    cases = [(_random_matrix(rng, rng.randint(1, 6), 9),) for _ in range(samples)]
     pairs = max(samples // 5, 1)
     for _ in range(pairs):
         n = rng.randint(1, 4)
         p = rng.randint(1, 4)
-        a = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        b = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(p)] for _ in range(p)])
-        lhs = determinant(kronecker_matrix(a, b))
-        rhs = determinant(a) ** p * determinant(b) ** n
-        if lhs == rhs:
-            passed += 1
-        else:
-            failed += 1
-            if witness is None:
-                witness = _witness(
-                    {"a": [list(r) for r in a.entries], "b": [list(r) for r in b.entries]},
-                    rhs,
-                    lhs,
-                )
+        cases.append((_random_matrix(rng, n, 5), _random_matrix(rng, p, 5)))
     corpus = (
         f"{samples} random matrices up to 6x6 (Bareiss vs permutation expansion) "
         f"plus {pairs} Kronecker determinant pairs (seed {seed})"
     )
-    return corpus, passed, failed, witness
+    return corpus, _drawn(cases)
 
 
-def _suite_invertibility(samples: int, seed: int) -> tuple[str, int, int, Optional[dict]]:
+def _check_determinant(case: tuple[IntMatrix, ...]):
+    if len(case) == 1:
+        (m,) = case
+        actual, expected = determinant(m), determinant_oracle(m)
+        input_desc = [list(r) for r in m.entries]
+    else:
+        a, b = case
+        actual = determinant(kronecker_matrix(a, b))
+        expected = determinant(a) ** b.rows * determinant(b) ** a.rows
+        input_desc = {"a": [list(r) for r in a.entries], "b": [list(r) for r in b.entries]}
+    if actual == expected:
+        return True, None
+    return False, _witness(input_desc, expected, actual)
+
+
+def _invertibility_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
     rng = random.Random(seed)
-    passed = failed = 0
-    witness = None
     cases: list[list[Tree]] = [
         [Tree(path(3)), Tree(path(3))],
         [Tree(path(5)), Tree(path(2))],
@@ -450,80 +381,62 @@ def _suite_invertibility(samples: int, seed: int) -> tuple[str, int, int, Option
         t1 = random_tree(rng.randint(2, 7), seed=rng.randrange(2**31))
         j = rng.randint(0, 2)
         cases.append([t1] + [Tree(path(2))] * j)
-    for factor_trees in cases:
-        result = check_invertibility_classification(factor_trees)
-        if result.agree:
-            passed += 1
-        else:
-            failed += 1
-            if witness is None:
-                witness = _witness(
-                    _factors_desc([t.graph for t in factor_trees]),
-                    {"predicted_invertible": result.predicted},
-                    {"det": result.det},
-                )
     corpus = (
         f"3 fixed negative cases plus {samples} seeded tuples (T_1, P_2^j) with "
         f"2 <= n <= 7, j in 0..2 (seed {seed})"
     )
-    return corpus, passed, failed, witness
+    return corpus, _drawn(cases)
 
 
-def _self_centered_pairs() -> list[tuple[Graph, Graph]]:
-    pool: list[Graph] = [cycle(n) for n in range(3, 9)]
-    pool += [complete(n) for n in range(2, 6)]
-    pool += [hypercube(k) for k in range(1, 6)]
-    pairs = []
-    for a, b in itertools.combinations_with_replacement(pool, 2):
-        if a.num_vertices * b.num_vertices <= 64 * 64:
-            pairs.append((a, b))
-    return pairs
-
-
-def _suite_kronecker_correspondence() -> tuple[str, int, int, Optional[dict]]:
-    passed = failed = 0
-    witness = None
-    pairs = _self_centered_pairs()
-    for a, b in pairs:
-        if check_kronecker_correspondence(a, b):
-            passed += 1
-        else:
-            failed += 1
-            if witness is None:
-                witness = _witness(
-                    _factors_desc([a, b]), "identity-map edge equality", "mismatch"
-                )
-    corpus = f"{len(pairs)} self-centered pairs (cycles, complete graphs, hypercubes)"
-    return corpus, passed, failed, witness
+def _check_invertibility(factor_trees: list[Tree]):
+    result = check_invertibility_classification(factor_trees)
+    if result.agree:
+        return True, None
+    return False, _witness(
+        _factors_desc([t.graph for t in factor_trees]),
+        {"predicted_invertible": result.predicted},
+        {"det": result.det},
+    )
 
 
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = (
-    "tree-girth",
-    "structure",
-    "monotone",
-    "additivity",
-    "componentwise",
-    "product-girth",
-    "grid",
-    "cycle-product",
-    "cncn-iso",
-    "kronecker-correspondence",
-    "kronecker-det",
-    "invertibility",
-)
-
-_DEFAULT_SAMPLES = {
-    "tree-girth": 1000,
-    "structure": 1000,
-    "monotone": 1000,
-    "additivity": 200,
-    "componentwise": 200,
-    "product-girth": 300,
-    "kronecker-det": 500,
-    "invertibility": 500,
+SUITES: dict[str, Suite] = {
+    s.name: s
+    for s in (
+        Suite("tree-girth", 1000, _tree_corpus, _check_tree_girth),
+        Suite("structure", 1000, _tree_corpus, _check_tree_structure),
+        Suite("monotone", 1000, _tree_corpus, _check_tree_monotone),
+        Suite("additivity", 200, _factors_corpus, _check_additivity),
+        Suite("componentwise", 200, _factors_corpus, _check_componentwise),
+        Suite("product-girth", 300, _tree_tuple_corpus, _check_product_girth),
+        Suite("grid", 0, _grid_corpus, _check_grid),
+        Suite("cycle-product", 0, _cycle_product_corpus, _check_cycle_product),
+        Suite("cncn-iso", 0, _cncn_corpus, _check_cncn_iso),
+        Suite("kronecker-correspondence", 0, _self_centered_corpus,
+              _check_kronecker_correspondence),
+        Suite("kronecker-det", 500, _matrix_corpus, _check_determinant),
+        Suite("invertibility", 500, _invertibility_corpus, _check_invertibility),
+    )
 }
+
+SUITE_NAMES = tuple(SUITES)
+
+
+def _run_chunk(check: Callable, chunk: Chunk) -> tuple[int, int, Optional[dict]]:
+    """Pass and fail counts of one chunk, with its first failure witness."""
+    cases, args = chunk
+    passed = failed = 0
+    witness = None
+    for case in cases(*args):
+        ok, w = check(case)
+        if ok:
+            passed += 1
+        else:
+            failed += 1
+            if witness is None:
+                witness = w
+    return passed, failed, witness
 
 
 def run_suite(
@@ -533,49 +446,34 @@ def run_suite(
     seed: int = 0,
     jobs: int = 1,
 ) -> CheckReport:
-    if name not in SUITE_NAMES:
+    """Check every case of a suite's corpus. With ``jobs > 1`` the chunks go
+    to that many spawned worker processes, which re-import the calling
+    script: a script that calls this needs an ``if __name__ == "__main__"``
+    guard."""
+    if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if samples is not None and samples < 0:
+        raise InputError(f"samples must be nonnegative, got {samples}")
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+    suite = SUITES[name]
     if samples is None:
-        samples = _DEFAULT_SAMPLES.get(name, 0)
-    if name in _TREE_CHECKS:
-        return _run_tree_suite(name, trees_max_n, samples, seed, jobs)
+        samples = suite.default_samples
     start = time.perf_counter()
-    if name == "additivity":
-        corpus, passed, failed, witness = _suite_additivity(samples, seed)
-    elif name == "componentwise":
-        corpus, passed, failed, witness = _suite_componentwise(samples, seed)
-    elif name == "product-girth":
-        corpus, passed, failed, witness = _suite_product_girth(samples, seed)
-    elif name == "grid":
-        corpus, passed, failed, witness = _suite_grid()
-    elif name == "cycle-product":
-        corpus, passed, failed, witness = _suite_cycle_product()
-    elif name == "cncn-iso":
-        corpus, passed, failed, witness = _suite_cncn_iso()
-    elif name == "kronecker-correspondence":
-        corpus, passed, failed, witness = _suite_kronecker_correspondence()
-    elif name == "kronecker-det":
-        corpus, passed, failed, witness = _suite_kronecker_det(samples, seed)
+    corpus, chunks = suite.corpus(trees_max_n, samples, seed)
+    checks = itertools.repeat(suite.check)
+    if jobs > 1:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            results = list(pool.map(_run_chunk, checks, chunks))
     else:
-        corpus, passed, failed, witness = _suite_invertibility(samples, seed)
+        results = list(map(_run_chunk, checks, chunks))
     return CheckReport(
         check_name=name,
         corpus=corpus,
-        pass_count=passed,
-        fail_count=failed,
-        first_failure_witness=witness,
+        pass_count=sum(r[0] for r in results),
+        fail_count=sum(r[1] for r in results),
+        first_failure_witness=next((r[2] for r in results if r[2] is not None), None),
         wall_time=time.perf_counter() - start,
         seed=seed,
     )
-
-
-def report_to_dict(report: CheckReport) -> dict:
-    return {
-        "check_name": report.check_name,
-        "corpus": report.corpus,
-        "pass_count": report.pass_count,
-        "fail_count": report.fail_count,
-        "first_failure_witness": report.first_failure_witness,
-        "wall_time": report.wall_time,
-        "seed": report.seed,
-    }

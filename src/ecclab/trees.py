@@ -12,7 +12,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .eccentric import eccentric_graph
 from .errors import InputError, NoStemError, UnsupportedSizeError
@@ -20,7 +20,6 @@ from .graphs import (
     Graph,
     _graph_unchecked,
     all_pairs_distances,
-    bfs_distances,
     is_connected,
 )
 
@@ -106,14 +105,19 @@ def random_tree(n: int, seed: int) -> Tree:
     return _tree_unchecked(n, prufer_decode(sequence, n))
 
 
+def _prufer_trees(n: int, prefix: tuple[int, ...]) -> Iterator[Tree]:
+    """Labeled trees on n vertices whose Prüfer sequences start with prefix."""
+    for tail in itertools.product(range(n), repeat=n - 2 - len(prefix)):
+        yield _tree_unchecked(n, prufer_decode(prefix + tail, n))
+
+
 def enumerate_trees(n: int) -> Iterator[Tree]:
     """All n^(n-2) labeled trees on n vertices, one per Prüfer sequence."""
     if not 2 <= n <= ENUMERATION_MAX_VERTICES:
         raise UnsupportedSizeError(
             f"exhaustive enumeration supports 2..{ENUMERATION_MAX_VERTICES} vertices"
         )
-    for sequence in itertools.product(range(n), repeat=n - 2):
-        yield _tree_unchecked(n, prufer_decode(sequence, n))
+    yield from _prufer_trees(n, ())
 
 
 def stem_at(t: Tree, leaf: int) -> tuple[int, ...]:
@@ -173,6 +177,14 @@ def induced_subtree(t: Tree, p: DiametricalPath) -> InducedSubtree:
     all_paths = diametrical_paths(t)
     if p not in all_paths:
         raise InputError("path is not a diametrical path of the tree")
+    return _induced_subtree(t, p, all_paths)
+
+
+def _induced_subtree(
+    t: Tree, p: DiametricalPath, all_paths: Sequence[DiametricalPath]
+) -> InducedSubtree:
+    """induced_subtree for a p known to be one of all_paths, the tree's
+    diametrical paths."""
     keep = set(p.endpoints)
     other_endpoints = set()
     for q in all_paths:
@@ -195,7 +207,7 @@ def decompose(t: Tree) -> TreeDecomposition:
     paths = tuple(diametrical_paths(t))
     return TreeDecomposition(
         paths=paths,
-        induced_subtrees=tuple(induced_subtree(t, p) for p in paths),
+        induced_subtrees=tuple(_induced_subtree(t, p, paths) for p in paths),
     )
 
 
@@ -205,8 +217,9 @@ def check_structure_theorem(t: Tree) -> tuple[bool, Optional[tuple[int, int]]]:
     flag and a mismatching edge if any."""
     expected = set(eccentric_graph(t.graph).edges)
     union: set[tuple[int, int]] = set()
-    for p in diametrical_paths(t):
-        sub = induced_subtree(t, p)
+    paths = diametrical_paths(t)
+    for p in paths:
+        sub = _induced_subtree(t, p, paths)
         labels = sub.vertices
         for a, b in eccentric_graph(sub.tree.graph).edges:
             u, v = labels[a], labels[b]
@@ -249,10 +262,6 @@ def check_monotone_exclusion(t: Tree) -> bool:
         if min(values) < ecc[v2] < max(values):
             return False
     return True
-
-
-def is_path_graph(t: Tree) -> bool:
-    return all(t.graph.degree(v) <= 2 for v in range(t.num_vertices))
 
 
 def is_star(t: Tree) -> bool:

@@ -57,10 +57,10 @@ def test_gen_bad_params_exit_2(capsys):
 
 def test_ecc_dot_golden_files(tmp_path, capsys):
     p8 = write_doc(tmp_path, "p8.json", path(8))
-    assert main(["ecc", p8, "--graph", "--format", "dot"]) == 0
+    assert main(["ecc", p8, "--format", "dot"]) == 0
     assert capsys.readouterr().out == GOLDEN_E_P8_DOT
     p9 = write_doc(tmp_path, "p9.json", path(9))
-    assert main(["ecc", p9, "--graph", "--format", "dot"]) == 0
+    assert main(["ecc", p9, "--format", "dot"]) == 0
     assert capsys.readouterr().out == GOLDEN_E_P9_DOT
 
 
@@ -146,6 +146,49 @@ def test_check_unknown_suite_exit_2(capsys):
         main(["check", "no-such-suite"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_bad_ecclab_jobs_only_affects_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ECCLAB_JOBS", "abc")
+    assert main(["gen", "path", "3"]) == 0
+    capsys.readouterr()
+    report = str(tmp_path / "r.json")
+    assert main(["check", "grid", "--report", report]) == 2
+    assert "error: ECCLAB_JOBS" in capsys.readouterr().err
+    monkeypatch.setenv("ECCLAB_JOBS", "0")
+    assert main(["check", "grid", "--report", report]) == 2
+    assert main(["check", "grid", "--jobs", "1", "--report", report]) == 0
+    capsys.readouterr()
+
+
+def test_check_bad_jobs_flag_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ECCLAB_JOBS", raising=False)
+    assert main(["check", "grid", "--jobs", "0", "--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_negative_samples_exit_2(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["check", "additivity", "--samples", "-3", "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
+
+
+def test_check_empty_corpus_exit_1(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["check", "additivity", "--samples", "0", "--report", str(report)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL additivity: 0 passed")
+    assert json.loads(report.read_text())["pass_count"] == 0
+
+
+def test_check_report_keys(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["check", "cncn-iso", "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert list(json.loads(report.read_text())) == [
+        "check_name", "corpus", "pass_count", "fail_count",
+        "first_failure_witness", "wall_time", "seed",
+    ]
 
 
 def test_missing_input_exit_2(capsys):

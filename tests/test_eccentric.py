@@ -74,8 +74,8 @@ def test_is_eccentric_on_p4():
     assert is_eccentric(p, 3, 1)  # d(3,1) = 2 = e(1)
     assert not is_eccentric(p, 1, 3)  # d(1,3) = 2 < e(3) = 3
     assert is_eccentric(p, 0, 3)
-    assert p.eccentric_sets[1] == (3,)
-    assert p.eccentric_sets[0] == (3,)
+    assert [u for u in range(4) if is_eccentric(p, u, 1)] == [3]
+    assert [u for u in range(4) if is_eccentric(p, u, 0)] == [3]
 
 
 def test_eccentricity_matrix_p2_and_p4():

@@ -1,6 +1,6 @@
 import pytest
 
-from ecclab.errors import DisconnectedGraphError, InputError, UnsupportedSizeError
+from ecclab.errors import DisconnectedGraphError, InputError
 from ecclab.families import complete, cycle, path
 from ecclab.graphs import (
     all_pairs_distances,
@@ -8,9 +8,7 @@ from ecclab.graphs import (
     bfs_distances,
     build_graph,
     connected_components,
-    find_isomorphism,
     girth,
-    graph_union,
     is_connected,
 )
 
@@ -67,35 +65,8 @@ def test_girth(g, expected):
     assert girth(g) == expected
 
 
-def test_graph_union():
-    a = build_graph(4, [(0, 1), (1, 2)])
-    b = build_graph(4, [(1, 2), (2, 3)])
-    assert graph_union(a, b).edges == ((0, 1), (1, 2), (2, 3))
-    with pytest.raises(InputError):
-        graph_union(a, build_graph(3, []))
-
-
 def test_apply_vertex_map():
     g = path(3)
     assert apply_vertex_map(g, (2, 1, 0)).edges == ((0, 1), (1, 2))
     with pytest.raises(InputError):
         apply_vertex_map(g, (0, 0, 1))
-
-
-def test_find_isomorphism_positive():
-    g = cycle(6)
-    perm = (3, 5, 1, 0, 4, 2)
-    h = apply_vertex_map(g, perm)
-    f = find_isomorphism(g, h)
-    assert f is not None
-    assert apply_vertex_map(g, f) == h
-
-
-def test_find_isomorphism_rejects_same_degree_sequence():
-    two_triangles = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert find_isomorphism(cycle(6), two_triangles) is None
-
-
-def test_find_isomorphism_size_limit():
-    with pytest.raises(UnsupportedSizeError):
-        find_isomorphism(cycle(17), cycle(17))

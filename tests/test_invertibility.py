@@ -1,10 +1,11 @@
 import pytest
 
+from ecclab.eccentric import eccentricity_matrix
 from ecclab.errors import InputError, SizeCapError
-from ecclab.families import double_star, path, star
+from ecclab.families import double_star, hypercube, path, star
+from ecclab.intmatrix import antidiagonal_j
 from ecclab.invertibility import (
     check_invertibility_classification,
-    hypercube_eccentricity_is_scaled_antidiagonal,
     predicted_invertible,
     star_product_determinant_probe,
 )
@@ -75,4 +76,6 @@ def test_star_probe_validation():
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_hypercube_matrix_is_k_times_antidiagonal(k):
-    assert hypercube_eccentricity_is_scaled_antidiagonal(k)
+    # E(P_2^k) equals k * J_{2^k} under binary vertex ordering.
+    expected = tuple(tuple(k * x for x in row) for row in antidiagonal_j(2**k).entries)
+    assert eccentricity_matrix(hypercube(k)).entries == expected

@@ -3,7 +3,7 @@ import pytest
 from ecclab.eccentric import eccentric_girth, eccentric_graph
 from ecclab.errors import InputError, PreconditionError, SizeCapError, UnsupportedSizeError
 from ecclab.families import complete, cycle, path, star
-from ecclab.graphs import build_graph, connected_components, find_isomorphism, girth
+from ecclab.graphs import build_graph, connected_components, girth
 from ecclab.products import (
     ProductIndexMap,
     cartesian_product,
@@ -59,7 +59,10 @@ def test_kronecker_graph_examples():
     k2k2 = kronecker_product_graph(complete(2), complete(2))
     assert set(k2k2.edges) == {(0, 3), (1, 2)}
     k3k2 = kronecker_product_graph(complete(3), complete(2))
-    assert find_isomorphism(k3k2, cycle(6)) is not None
+    # K3 x K2 is C6: connected and 2-regular on 6 vertices.
+    assert k3k2.num_vertices == 6
+    assert connected_components(k3k2) == [tuple(range(6))]
+    assert all(k3k2.degree(v) == 2 for v in range(6))
     edgeless = kronecker_product_graph(path(2), build_graph(2, []))
     assert edgeless.num_edges == 0
 

@@ -15,7 +15,6 @@ from ecclab.trees import (
     induced_subtree,
     is_p2,
     is_p4,
-    is_path_graph,
     is_star,
     predicted_tree_girth,
     prufer_decode,
@@ -137,8 +136,6 @@ def test_monotone_exclusion_small_sweep():
 
 
 def test_shape_predicates():
-    assert is_path_graph(Tree(path(5)))
-    assert not is_path_graph(Tree(star(3)))
     assert is_star(Tree(star(4)))
     assert is_star(Tree(path(2))) and is_star(Tree(path(3)))
     assert not is_star(Tree(path(4)))
