@@ -26,6 +26,7 @@ from .graphs import (
     bfs_distances,
     build_graph,
     connected_components,
+    eccentric_sets,
     girth,
     is_connected,
 )

@@ -2,9 +2,9 @@
 
 A vertex u is *eccentric to* v when d(u,v) = e(v); the relation is not
 symmetric. The eccentric graph joins u and v when either is eccentric to
-the other, which is equivalent to d(u,v) = min(e(u), e(v)). The min
-formulation is the single source of truth here; the or-of-directions
-formulation lives in the test oracle so the two can be cross-checked.
+the other, which is equivalent to d(u,v) = min(e(u), e(v)). Everything here
+reads only the eccentricities and eccentric sets of ``graphs.eccentric_sets``;
+the tests cross-check it against BFS and Floyd-Warshall distances.
 """
 
 from __future__ import annotations
@@ -12,65 +12,78 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import DistanceData, Graph, all_pairs_distances, girth
+from .graphs import Graph, eccentric_sets, girth, members
 from .intmatrix import IntMatrix
 
 
 @dataclass(frozen=True)
 class EccentricityProfile:
-    """A graph with its distances and eccentricities, for is_eccentric."""
+    """A connected graph with its eccentricities and eccentric sets:
+    ``ecc[v]`` is e(v), and bit u of ``far[v]`` is set iff u is eccentric
+    to v, i.e. d(u,v) = e(v)."""
 
     graph: Graph
-    distances: DistanceData
+    ecc: tuple[int, ...]
+    far: tuple[int, ...]
 
 
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
-    return EccentricityProfile(graph=g, distances=all_pairs_distances(g))
+    ecc, far = eccentric_sets(g)
+    return EccentricityProfile(graph=g, ecc=ecc, far=far)
 
 
 def is_eccentric(p: EccentricityProfile, u: int, v: int) -> bool:
     """True iff u is eccentric to v, i.e. d(u,v) = e(v)."""
-    return p.distances.dist[v][u] == p.distances.ecc[v]
+    return p.far[v] >> u & 1 == 1
 
 
-def _require_eccentric_domain(g: Graph) -> DistanceData:
+def eccentric_adjacency(g: Graph) -> tuple[tuple[int, ...], list[int]]:
+    """Eccentricities of g and, per vertex, the bitset of its neighbours in
+    E(g): u ~ v iff u is eccentric to v or v to u."""
     if g.num_vertices < 2:
         raise InputError("eccentric graph requires at least two vertices")
-    return all_pairs_distances(g)
+    ecc, far = eccentric_sets(g)
+    # v in far[u] means d(u,v) = e(u) <= e(v), and when e(u) = e(v) u is in
+    # far[v] already; so only the v of larger eccentricity need u's bit.
+    by_ecc = [0] * (max(ecc) + 2)
+    for v, e in enumerate(ecc):
+        by_ecc[e] |= 1 << v
+    above = [0] * len(by_ecc)
+    for e in range(len(above) - 2, -1, -1):
+        above[e] = above[e + 1] | by_ecc[e + 1]
+    nbrs = list(far)
+    for u, mask in enumerate(far):
+        bit = 1 << u
+        for v in members(mask & above[ecc[u]]):
+            nbrs[v] |= bit
+    return ecc, nbrs
 
 
 def eccentric_graph(g: Graph) -> Graph:
     """Graph joining u,v whenever d(u,v) = min(e(u), e(v))."""
-    dd = _require_eccentric_domain(g)
-    dist = dd.dist
-    ecc = dd.ecc
+    _, nbrs = eccentric_adjacency(g)
     edges = []
-    for u in range(g.num_vertices):
-        row = dist[u]
-        eu = ecc[u]
-        for v in range(u + 1, g.num_vertices):
-            ev = ecc[v]
-            if row[v] == (eu if eu < ev else ev):
-                edges.append((u, v))
+    for u, mask in enumerate(nbrs):
+        after = u + 1
+        edges.extend((u, after + i) for i in members(mask >> after))
     return Graph(g.num_vertices, tuple(edges))
 
 
 def eccentricity_matrix(g: Graph) -> IntMatrix:
-    """Distance matrix with entries zeroed unless they attain min(e(u), e(v))."""
-    dd = _require_eccentric_domain(g)
-    dist = dd.dist
-    ecc = dd.ecc
+    """Distance matrix with entries zeroed unless they attain min(e(u), e(v)).
+
+    On an eccentric-graph edge the distance is min(e(u), e(v)), so no
+    distance table is needed."""
+    ecc, nbrs = eccentric_adjacency(g)
     n = g.num_vertices
     rows = []
-    for u in range(n):
-        row = dist[u]
+    for u, mask in enumerate(nbrs):
+        row = [0] * n
         eu = ecc[u]
-        rows.append(
-            tuple(
-                row[v] if row[v] == (eu if eu < ecc[v] else ecc[v]) else 0
-                for v in range(n)
-            )
-        )
+        for v in members(mask):
+            ev = ecc[v]
+            row[v] = eu if eu < ev else ev
+        rows.append(tuple(row))
     return IntMatrix(rows=n, cols=n, entries=tuple(rows))
 
 

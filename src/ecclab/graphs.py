@@ -1,7 +1,15 @@
-"""Core graph representation: distances, girth, components, relabeling.
+"""Core graph representation: eccentricities, distances, girth, components,
+relabeling.
 
 Vertices are contiguous 0-based integers. Graphs are immutable value types;
-all derived data (distance tables, eccentricities) is computed on demand.
+all derived data is computed on demand. A set of vertices is a Python int
+used as a bitset: bit v stands for vertex v.
+
+Eccentricities and eccentric sets come from one kernel, ``eccentric_sets``,
+which grows every vertex's ball over bitsets instead of tabulating all n²
+distances (the bit-parallel BFS idea of Akiba, Iwata and Yoshida, SIGMOD
+2013). ``all_pairs_distances`` keeps the per-source BFS table for the few
+callers that need distances themselves, and serves as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -58,7 +66,6 @@ class DistanceData:
     dist: tuple[tuple[int, ...], ...]
     ecc: tuple[int, ...]
     diameter: int
-    radius: int
 
 
 def _normalize_edges(edge_list: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -119,8 +126,56 @@ def all_pairs_distances(g: Graph) -> DistanceData:
         dist=tuple(rows),
         ecc=ecc,
         diameter=max(ecc),
-        radius=min(ecc),
     )
+
+
+def eccentric_sets(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Eccentricities and eccentric sets of a connected graph.
+
+    Grows every ball at once, ``B_k(v) = B_{k-1}(v) | OR_{w~v} B_{k-1}(w)``
+    from ``B_0(v) = {v}``. ``ecc[v]`` is the first k at which ``B_k(v)``
+    holds every vertex, and ``far[v] = full ^ B_{e(v)-1}(v)`` is the bitset
+    of the vertices eccentric to v (at distance e(v) from it). On one vertex
+    ``ecc == (0,)`` and the vertex is eccentric to itself. A ball that stops
+    growing before it is full raises ``DisconnectedGraphError``.
+    """
+    adjacency = g.adjacency
+    n = g.num_vertices
+    full = (1 << n) - 1
+    ball = [1 << v for v in range(n)]
+    ecc = [0] * n
+    far = [full] * n
+    pending = [v for v in range(n) if ball[v] != full]
+    k = 0
+    while pending:
+        k += 1
+        grown = ball[:]
+        still = []
+        for v in pending:
+            b = old = ball[v]
+            for w in adjacency[v]:
+                b |= ball[w]
+            if b == full:
+                ecc[v] = k
+                far[v] = full ^ old
+            elif b == old:
+                raise DisconnectedGraphError("eccentric_sets requires a connected graph")
+            else:
+                still.append(v)
+            grown[v] = b
+        ball = grown
+        pending = still
+    return tuple(ecc), tuple(far)
+
+
+def members(mask: int) -> list[int]:
+    """The vertices of a bitset, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def girth(g: Graph) -> int:

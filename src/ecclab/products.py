@@ -18,7 +18,14 @@ from .errors import (
     SizeCapError,
     UnsupportedSizeError,
 )
-from .graphs import Graph, _graph_unchecked, all_pairs_distances, girth, is_connected
+from .graphs import (
+    Graph,
+    _graph_unchecked,
+    all_pairs_distances,
+    girth,
+    is_connected,
+    members,
+)
 from .trees import Tree, is_p2
 
 DEFAULT_SIZE_CAP = 20_000
@@ -130,21 +137,25 @@ def check_additivity(
 def check_componentwise_eccentric(
     factors: Sequence[Graph], size_cap: int = DEFAULT_SIZE_CAP
 ) -> bool:
-    """v eccentric to u in the product iff v_i eccentric to u_i in every factor."""
+    """v eccentric to u in the product iff v_i eccentric to u_i in every factor.
+
+    The eccentric set of u must equal the flat indices of the coordinate
+    tuples drawn from the factors' eccentric sets of the u_i. It is built
+    one factor at a time: shifting a bitset by ``y * stride`` adds
+    coordinate y of that factor to every member."""
     product, index_map = cartesian_product(factors, size_cap)
-    profile = eccentricity_profile(product)
-    factor_profiles = [eccentricity_profile(g) for g in factors]
-    total = index_map.size
-    coords = [index_map.unflatten(i) for i in range(total)]
-    for u in range(total):
-        cu = coords[u]
-        for v in range(total):
-            cv = coords[v]
-            componentwise = all(
-                is_eccentric(fp, y, x) for fp, x, y in zip(factor_profiles, cu, cv)
-            )
-            if is_eccentric(profile, v, u) != componentwise:
-                return False
+    far = eccentricity_profile(product).far
+    factor_far = [eccentricity_profile(g).far for g in factors]
+    strides = index_map.strides
+    for u in range(index_map.size):
+        expected = 1
+        for ff, x, stride in zip(factor_far, index_map.unflatten(u), strides):
+            lifted = 0
+            for y in members(ff[x]):
+                lifted |= expected << (y * stride)
+            expected = lifted
+        if far[u] != expected:
+            return False
     return True
 
 
@@ -175,19 +186,19 @@ def four_cycle_witness(
         return x != y and (is_eccentric(p, x, y) or is_eccentric(p, y, x))
 
     u_s, v_s, w_s = s_triple
-    ecc_s = profiles[s].distances.ecc
+    ecc_s = profiles[s].ecc
     if not (e_adjacent(s, u_s, v_s) and e_adjacent(s, v_s, w_s)):
         raise PreconditionError("s-triple is not a 2-path in the factor eccentric graph")
     if ecc_s[v_s] < max(ecc_s[u_s], ecc_s[w_s]):
         raise PreconditionError("s-triple middle vertex must have maximal eccentricity")
     u_t, v_t, w_t = t_triple
-    ecc_t = profiles[t].distances.ecc
+    ecc_t = profiles[t].ecc
     if not (e_adjacent(t, u_t, v_t) and e_adjacent(t, v_t, w_t)):
         raise PreconditionError("t-triple is not a 2-path in the factor eccentric graph")
     if ecc_t[v_t] > min(ecc_t[u_t], ecc_t[w_t]):
         raise PreconditionError("t-triple middle vertex must have minimal eccentricity")
     for i, (u_i, v_i) in fillers.items():
-        ecc_i = profiles[i].distances.ecc
+        ecc_i = profiles[i].ecc
         if not e_adjacent(i, u_i, v_i):
             raise PreconditionError(f"filler for factor {i} is not an eccentric edge")
         if ecc_i[u_i] < ecc_i[v_i]:
@@ -220,8 +231,8 @@ def check_kronecker_correspondence(
     """For self-centered factors, E(a box b) equals E(a) x E(b) as labeled
     graphs under the shared index map (the isomorphism is the identity)."""
     for g in (a, b):
-        dd = all_pairs_distances(g)
-        if dd.diameter != dd.radius:
+        ecc = eccentricity_profile(g).ecc
+        if min(ecc) != max(ecc):
             raise PreconditionError("factors must be self-centered (constant eccentricity)")
     product, _ = cartesian_product([a, b], size_cap)
     lhs = eccentric_graph(product)

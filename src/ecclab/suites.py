@@ -77,7 +77,8 @@ class CheckReport:
 @dataclass(frozen=True)
 class Suite:
     """``corpus(trees_max_n, samples, seed)`` returns a description of the
-    cases and their chunks; ``check(case)`` returns ``(ok, witness)``."""
+    cases and their chunks; ``check(case)`` returns ``(ok, witness)``. A
+    ``default_samples`` of 0 marks a fixed corpus, which takes no samples."""
 
     name: str
     default_samples: int
@@ -118,10 +119,6 @@ def _random_trees(seed: int, start: int, count: int) -> Iterable[Tree]:
 
 
 def _tree_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
-    if not 2 <= trees_max_n <= ENUMERATION_MAX_VERTICES:
-        raise InputError(
-            f"trees_max_n must be in 2..{ENUMERATION_MAX_VERTICES}, got {trees_max_n}"
-        )
     chunks: list[Chunk] = []
     for n in range(2, trees_max_n + 1):
         if n <= 3:
@@ -452,11 +449,17 @@ def run_suite(
     guard."""
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    suite = SUITES[name]
+    if not 2 <= trees_max_n <= ENUMERATION_MAX_VERTICES:
+        raise InputError(
+            f"trees_max_n must be in 2..{ENUMERATION_MAX_VERTICES}, got {trees_max_n}"
+        )
     if samples is not None and samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
+    if samples is not None and suite.default_samples == 0:
+        raise InputError(f"suite {name!r} has a fixed corpus and takes no samples")
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
-    suite = SUITES[name]
     if samples is None:
         samples = suite.default_samples
     start = time.perf_counter()

@@ -14,13 +14,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .eccentric import eccentric_graph
+from .eccentric import eccentric_adjacency, eccentric_graph
 from .errors import InputError, NoStemError, UnsupportedSizeError
 from .graphs import (
     Graph,
     _graph_unchecked,
     all_pairs_distances,
     is_connected,
+    members,
 )
 
 ENUMERATION_MAX_VERTICES = 8
@@ -159,7 +160,11 @@ def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
 
 
 def diametrical_paths(t: Tree) -> list[DiametricalPath]:
-    """All diameter-realizing paths, one per unordered endpoint pair."""
+    """All diameter-realizing paths, one per unordered endpoint pair.
+
+    Built from BFS distances, like ``predicted_tree_girth``: the
+    construction side of the tree theorems stays off the kernel that
+    computes the eccentric graphs it is checked against."""
     dd = all_pairs_distances(t.graph)
     diam = dd.diameter
     paths = []
@@ -232,7 +237,12 @@ def check_structure_theorem(t: Tree) -> tuple[bool, Optional[tuple[int, int]]]:
 def predicted_tree_girth(t: Tree) -> int:
     """Eccentric girth of a tree predicted from its diameter parity and the
     number of diametrical paths: 3 if the diameter is even, 0 if odd with a
-    unique diametrical path, 4 otherwise."""
+    unique diametrical path, 4 otherwise.
+
+    The diameter comes from BFS distances on purpose: this is the
+    prediction side of the tree-girth suite, kept independent of the
+    ``eccentric_sets`` kernel that computes the eccentric graph it is
+    checked against."""
     dd = all_pairs_distances(t.graph)
     diam = dd.diameter
     if diam % 2 == 0:
@@ -251,15 +261,10 @@ def predicted_tree_girth(t: Tree) -> int:
 
 def check_monotone_exclusion(t: Tree) -> bool:
     """No 2-path v1-v2-v3 in E(T) has strictly increasing tree eccentricities."""
-    dd = all_pairs_distances(t.graph)
-    ecc = dd.ecc
-    eg = eccentric_graph(t.graph)
-    for v2 in range(t.num_vertices):
-        nbrs = eg.adjacency[v2]
-        if len(nbrs) < 2:
-            continue
-        values = [ecc[w] for w in nbrs]
-        if min(values) < ecc[v2] < max(values):
+    ecc, nbrs = eccentric_adjacency(t.graph)
+    for v2, mask in enumerate(nbrs):
+        values = [ecc[w] for w in members(mask)]
+        if len(values) > 1 and min(values) < ecc[v2] < max(values):
             return False
     return True
 

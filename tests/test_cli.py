@@ -91,6 +91,15 @@ def test_ecc_disconnected_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_ecc_matrix_disconnected_exit_2(tmp_path, capsys):
+    from ecclab.graphs import build_graph
+
+    bad = tmp_path / "bad.json"
+    save_graph(GraphDocument(graph=build_graph(3, [(0, 1)])), str(bad))
+    assert main(["ecc", str(bad), "--matrix"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_det_exact_output(tmp_path, capsys):
     s3 = write_doc(tmp_path, "s3.json", star(3))
     assert main(["det", s3]) == 0
@@ -170,6 +179,22 @@ def test_check_bad_jobs_flag_exit_2(tmp_path, capsys, monkeypatch):
 def test_check_negative_samples_exit_2(tmp_path, capsys):
     report = tmp_path / "r.json"
     assert main(["check", "additivity", "--samples", "-3", "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "grid", "--trees-max-n", "99"],
+        ["check", "additivity", "--trees-max-n", "99", "--samples", "3"],
+        ["check", "grid", "--samples", "5"],
+        ["check", "cncn-iso", "--samples", "0"],
+    ],
+)
+def test_check_rejects_unused_options_exit_2(tmp_path, capsys, argv):
+    report = tmp_path / "r.json"
+    assert main(argv + ["--report", str(report)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not report.exists()
 

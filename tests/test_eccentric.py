@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ecclab import graphs, products, trees
 from ecclab.eccentric import (
     eccentric_girth,
     eccentric_graph,
@@ -11,8 +12,9 @@ from ecclab.eccentric import (
 )
 from ecclab.errors import DisconnectedGraphError, InputError
 from ecclab.families import complete, cycle, path, star
-from ecclab.graphs import Graph, build_graph
-from ecclab.trees import enumerate_trees, random_tree
+from ecclab.graphs import Graph, all_pairs_distances, build_graph
+from ecclab.products import cartesian_product
+from ecclab.trees import check_monotone_exclusion, enumerate_trees, random_tree
 
 INF = float("inf")
 
@@ -111,3 +113,76 @@ def test_domain_errors():
         eccentric_graph(build_graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(DisconnectedGraphError):
         eccentricity_matrix(build_graph(4, [(0, 1), (2, 3)]))
+
+
+def oracle_corpus() -> list[Graph]:
+    rng = random.Random(11)
+    corpus = [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(60)]
+    corpus += [path(2), path(7), cycle(9), star(4), complete(5)]
+    corpus.append(cartesian_product([path(4), cycle(5), random_tree(4, seed=1).graph])[0])
+    return corpus
+
+
+def test_eccentricity_matrix_matches_bfs_definition():
+    for g in oracle_corpus():
+        dd = all_pairs_distances(g)
+        n = g.num_vertices
+        expected = tuple(
+            tuple(
+                dd.dist[u][v] if dd.dist[u][v] == min(dd.ecc[u], dd.ecc[v]) else 0
+                for v in range(n)
+            )
+            for u in range(n)
+        )
+        assert eccentricity_matrix(g).entries == expected
+
+
+def test_is_eccentric_matches_bfs_on_every_pair():
+    for g in oracle_corpus():
+        dd = all_pairs_distances(g)
+        p = eccentricity_profile(g)
+        assert p.ecc == dd.ecc
+        n = g.num_vertices
+        for u in range(n):
+            for v in range(n):
+                assert is_eccentric(p, u, v) == (dd.dist[v][u] == dd.ecc[v])
+
+
+def test_single_vertex():
+    g = build_graph(1, [])
+    p = eccentricity_profile(g)
+    assert p.ecc == (0,)
+    assert is_eccentric(p, 0, 0)
+    with pytest.raises(InputError):
+        eccentricity_matrix(g)
+
+
+def test_two_vertices():
+    g = path(2)
+    assert eccentric_graph(g) == g
+    p = eccentricity_profile(g)
+    assert p.ecc == (1, 1)
+    assert [is_eccentric(p, u, v) for u in range(2) for v in range(2)] == [
+        False, True, True, False,
+    ]
+
+
+@pytest.mark.parametrize("f", [eccentric_graph, eccentricity_matrix, eccentricity_profile])
+def test_disconnected_input_raises(f):
+    with pytest.raises(DisconnectedGraphError):
+        f(build_graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(DisconnectedGraphError):
+        f(build_graph(2, []))
+
+
+def test_eccentric_objects_build_no_distance_table(monkeypatch):
+    def forbidden(g):
+        raise AssertionError("all_pairs_distances called")
+
+    for module in (graphs, products, trees):
+        monkeypatch.setattr(module, "all_pairs_distances", forbidden)
+    g = cartesian_product([path(4), cycle(5)])[0]
+    eccentric_graph(g)
+    eccentricity_matrix(g)
+    eccentricity_profile(g)
+    assert check_monotone_exclusion(random_tree(12, seed=4))

@@ -1,16 +1,30 @@
 import pytest
 
 from ecclab.errors import DisconnectedGraphError, InputError
-from ecclab.families import complete, cycle, path
+from ecclab.families import complete, cycle, hypercube, path
 from ecclab.graphs import (
     all_pairs_distances,
     apply_vertex_map,
     bfs_distances,
     build_graph,
     connected_components,
+    eccentric_sets,
     girth,
     is_connected,
+    members,
 )
+from ecclab.products import cartesian_product
+from ecclab.trees import random_tree
+
+
+def bfs_eccentric_sets(g):
+    """Eccentricities and eccentric-set bitsets read off the BFS table."""
+    dd = all_pairs_distances(g)
+    far = tuple(
+        sum(1 << u for u, d in enumerate(row) if d == e)
+        for row, e in zip(dd.dist, dd.ecc)
+    )
+    return dd.ecc, far
 
 
 def test_build_graph_normalizes_and_deduplicates():
@@ -41,13 +55,60 @@ def test_all_pairs_on_p4():
     dd = all_pairs_distances(path(4))
     assert dd.ecc == (3, 2, 2, 3)
     assert dd.diameter == 3
-    assert dd.radius == 2
     assert dd.dist[0] == (0, 1, 2, 3)
 
 
 def test_all_pairs_requires_connected():
     with pytest.raises(DisconnectedGraphError):
         all_pairs_distances(build_graph(3, [(0, 1)]))
+
+
+def test_eccentric_sets_on_p4():
+    ecc, far = eccentric_sets(path(4))
+    assert ecc == (3, 2, 2, 3)
+    assert [members(m) for m in far] == [[3], [3], [0], [0]]
+
+
+def test_eccentric_sets_edge_cases():
+    # One vertex: e = 0, and the vertex is at distance e from itself.
+    assert eccentric_sets(build_graph(1, [])) == ((0,), (0b1,))
+    assert eccentric_sets(path(2)) == ((1, 1), (0b10, 0b01))
+    assert eccentric_sets(build_graph(1, [])) == bfs_eccentric_sets(build_graph(1, []))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_graph(2, []),
+        build_graph(3, [(0, 1)]),
+        build_graph(5, [(0, 1), (1, 2), (3, 4)]),
+    ],
+)
+def test_eccentric_sets_requires_connected(g):
+    with pytest.raises(DisconnectedGraphError):
+        eccentric_sets(g)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [path(10)] * 3,
+        [cycle(31)] * 2,
+        [hypercube(5)] * 2,
+        [random_tree(25, seed=3).graph, cycle(40)],
+    ],
+    ids=["P10^3", "C31^2", "Q5xQ5", "T25xC40"],
+)
+def test_eccentric_sets_match_bfs_on_products(factors):
+    g, _ = cartesian_product(factors)
+    assert 900 <= g.num_vertices <= 1024
+    assert eccentric_sets(g) == bfs_eccentric_sets(g)
+
+
+def test_members():
+    assert members(0) == []
+    assert members(0b101001) == [0, 3, 5]
+    assert members(1 << 1000) == [1000]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from ecclab import products
 from ecclab.eccentric import eccentric_girth, eccentric_graph
 from ecclab.errors import InputError, PreconditionError, SizeCapError, UnsupportedSizeError
 from ecclab.families import complete, cycle, path, star
@@ -75,6 +78,26 @@ def test_additivity_instances():
 def test_componentwise_instances():
     assert check_componentwise_eccentric([path(4), path(4)])
     assert check_componentwise_eccentric([cycle(6), cycle(6)])
+
+
+def test_componentwise_instances_with_three_factors():
+    assert check_componentwise_eccentric([path(3), cycle(5), star(3)])
+
+
+@pytest.mark.parametrize("vertex, flipped", [(0, 15), (5, 0), (9, 12)])
+def test_componentwise_detects_a_wrong_eccentric_set(monkeypatch, vertex, flipped):
+    real = products.eccentricity_profile
+
+    def corrupted(g):
+        p = real(g)
+        if g.num_vertices < 16:  # a factor
+            return p
+        far = list(p.far)
+        far[vertex] ^= 1 << flipped
+        return dataclasses.replace(p, far=tuple(far))
+
+    monkeypatch.setattr(products, "eccentricity_profile", corrupted)
+    assert not check_componentwise_eccentric([path(4), path(4)])
 
 
 def test_componentwise_adjacency_is_not_product_adjacency():

@@ -6,7 +6,9 @@ from ecclab.graphs import (
     all_pairs_distances,
     build_graph,
     connected_components,
+    eccentric_sets,
     girth,
+    members,
 )
 from ecclab.intmatrix import IntMatrix, determinant, determinant_oracle
 from ecclab.products import ProductIndexMap
@@ -40,6 +42,15 @@ def test_distances_symmetric_and_triangle(g):
             assert dd.dist[u][v] == dd.dist[v][u]
             for w in range(n):
                 assert dd.dist[u][w] <= dd.dist[u][v] + dd.dist[v][w]
+
+
+@given(graphs(connected=True))
+def test_eccentric_sets_match_bfs(g):
+    ecc, far = eccentric_sets(g)
+    dd = all_pairs_distances(g)
+    assert ecc == dd.ecc
+    for v in range(g.num_vertices):
+        assert members(far[v]) == [u for u, d in enumerate(dd.dist[v]) if d == dd.ecc[v]]
 
 
 @given(graphs(connected=True))

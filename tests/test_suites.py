@@ -152,6 +152,10 @@ def test_empty_corpus_does_not_pass():
         ("grid", dict(jobs=0)),
         ("monotone", dict(trees_max_n=1)),
         ("monotone", dict(trees_max_n=9)),
+        ("grid", dict(trees_max_n=99)),
+        ("additivity", dict(trees_max_n=1)),
+        ("grid", dict(samples=5)),
+        ("kronecker-correspondence", dict(samples=0)),
     ],
 )
 def test_bad_arguments_raise(name, kwargs):

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import REFERENCE_ECCENTRIC_EDGES
+from ecclab import trees
 from ecclab.eccentric import eccentric_graph
 from ecclab.errors import InputError, NoStemError, UnsupportedSizeError
 from ecclab.families import cycle, double_star, path, star
@@ -133,6 +134,21 @@ def test_monotone_exclusion_small_sweep():
     for n in range(2, 7):
         for t in enumerate_trees(n):
             assert check_monotone_exclusion(t)
+
+
+@pytest.mark.parametrize(
+    "ecc, nbrs, expected",
+    [
+        ((3, 2, 1), [0b010, 0b101, 0b010], False),  # 0 - 1 - 2 increasing
+        ((1, 2, 1), [0b010, 0b101, 0b010], True),
+        ((3, 2, 1, 3), [0b0010, 0b1101, 0b0010, 0b0010], False),
+        ((2, 2, 1), [0b010, 0b101, 0b010], True),
+    ],
+)
+def test_monotone_exclusion_detects_an_increasing_two_path(monkeypatch, ecc, nbrs, expected):
+    # The theorem holds on every tree, so feed the check a made-up E(T).
+    monkeypatch.setattr(trees, "eccentric_adjacency", lambda g: (ecc, nbrs))
+    assert check_monotone_exclusion(Tree(path(len(ecc)))) is expected
 
 
 def test_shape_predicates():
