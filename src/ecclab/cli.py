@@ -118,8 +118,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         jobs=_jobs(args),
     )
     status = "PASS" if report.passed else "FAIL"
+    seed = "" if report.seed is None else f" (seed {report.seed})"
     print(f"{status} {report.check_name}: {report.pass_count} passed, "
-          f"{report.fail_count} failed in {report.wall_time:.2f}s (seed {report.seed})")
+          f"{report.fail_count} failed in {report.wall_time:.2f}s{seed}")
     print(f"  corpus: {report.corpus}")
     if report.first_failure_witness is not None:
         print(f"  first failure: {json.dumps(report.first_failure_witness)}")
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=SUITE_NAMES)
     p_check.add_argument("--trees-max-n", type=int, default=ENUMERATION_MAX_VERTICES)
     p_check.add_argument("--samples", type=int, default=None)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=int, help="corpus seed of a seeded suite (default 0)")
     p_check.add_argument("--jobs", type=int, help="worker processes (default: ECCLAB_JOBS or 1)")
     p_check.add_argument("--report", help="path for the JSON report")
     p_check.set_defaults(func=cmd_check)

@@ -18,18 +18,17 @@ from .intmatrix import IntMatrix
 
 @dataclass(frozen=True)
 class EccentricityProfile:
-    """A connected graph with its eccentricities and eccentric sets:
+    """The eccentricities and eccentric sets of a connected graph:
     ``ecc[v]`` is e(v), and bit u of ``far[v]`` is set iff u is eccentric
     to v, i.e. d(u,v) = e(v)."""
 
-    graph: Graph
     ecc: tuple[int, ...]
     far: tuple[int, ...]
 
 
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
     ecc, far = eccentric_sets(g)
-    return EccentricityProfile(graph=g, ecc=ecc, far=far)
+    return EccentricityProfile(ecc=ecc, far=far)
 
 
 def is_eccentric(p: EccentricityProfile, u: int, v: int) -> bool:
@@ -59,14 +58,19 @@ def eccentric_adjacency(g: Graph) -> tuple[tuple[int, ...], list[int]]:
     return ecc, nbrs
 
 
-def eccentric_graph(g: Graph) -> Graph:
-    """Graph joining u,v whenever d(u,v) = min(e(u), e(v))."""
-    _, nbrs = eccentric_adjacency(g)
+def _graph_from_adjacency(nbrs: list[int]) -> Graph:
+    """The graph in which vertex u has the neighbour bitset ``nbrs[u]``."""
     edges = []
     for u, mask in enumerate(nbrs):
         after = u + 1
         edges.extend((u, after + i) for i in members(mask >> after))
-    return Graph(g.num_vertices, tuple(edges))
+    return Graph(len(nbrs), tuple(edges))
+
+
+def eccentric_graph(g: Graph) -> Graph:
+    """Graph joining u,v whenever d(u,v) = min(e(u), e(v))."""
+    _, nbrs = eccentric_adjacency(g)
+    return _graph_from_adjacency(nbrs)
 
 
 def eccentricity_matrix(g: Graph) -> IntMatrix:

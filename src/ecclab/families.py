@@ -89,7 +89,8 @@ def h_graph(t: int) -> Graph:
 
 
 def grid(m: int, n: int) -> Graph:
-    """P_m box P_n with flat index i*n + j."""
+    """P_m box P_n; vertex (i, j) has the flat index of the product's
+    ``ProductIndexMap((m, n))``, i*n + j."""
     g, _ = cartesian_product([path(m), path(n)])
     return g
 

@@ -47,20 +47,17 @@ class IntMatrix:
 
 
 def kronecker_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Block matrix whose (i,j) block is b[i][j] * A.
+    """A (x) B, the block matrix whose (i,j) block is a[i][j] * B.
 
-    This is the transpose-block arrangement of the more common convention;
-    determinants of square inputs are unaffected.
+    Row p * b.rows + q pairs row p of a with row q of b: the first operand
+    is most significant, the layout of ``products.ProductIndexMap``.
     """
-    grid = []
-    for i in range(b.rows):
-        for p in range(a.rows):
-            row = []
-            for j in range(b.cols):
-                scale = b.entries[i][j]
-                row.extend(scale * x for x in a.entries[p])
-            grid.append(tuple(row))
-    return IntMatrix(rows=a.rows * b.rows, cols=a.cols * b.cols, entries=tuple(grid))
+    grid = tuple(
+        tuple(x * y for x in row_a for y in row_b)
+        for row_a in a.entries
+        for row_b in b.entries
+    )
+    return IntMatrix(rows=a.rows * b.rows, cols=a.cols * b.cols, entries=grid)
 
 
 def antidiagonal_j(size: int) -> IntMatrix:

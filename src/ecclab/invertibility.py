@@ -9,6 +9,7 @@ operation measures empirically instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,21 +43,18 @@ def predicted_invertible(factor_trees: Sequence[Tree]) -> bool:
 
 
 def _product_graph(factor_trees: Sequence[Tree]) -> Graph:
+    """The product of the trees, once its side is within MATRIX_SIDE_CAP."""
+    side = math.prod(t.num_vertices for t in factor_trees)
+    if side > MATRIX_SIDE_CAP:
+        raise SizeCapError(f"matrix side {side} exceeds the cap of {MATRIX_SIDE_CAP}")
     if len(factor_trees) == 1:
         return factor_trees[0].graph
-    g, _ = cartesian_product([t.graph for t in factor_trees], size_cap=MATRIX_SIDE_CAP)
+    g, _ = cartesian_product([t.graph for t in factor_trees])
     return g
 
 
-def check_invertibility_classification(
-    factor_trees: Sequence[Tree], side_cap: int = MATRIX_SIDE_CAP
-) -> InvertibilityCheck:
+def check_invertibility_classification(factor_trees: Sequence[Tree]) -> InvertibilityCheck:
     """Compare the star/P_4 prediction with the exact determinant."""
-    side = 1
-    for t in factor_trees:
-        side *= t.num_vertices
-    if side > side_cap:
-        raise SizeCapError(f"matrix side {side} exceeds the cap of {side_cap}")
     predicted = predicted_invertible(factor_trees)
     det = determinant(eccentricity_matrix(_product_graph(factor_trees)))
     computed = det != 0

@@ -1,17 +1,26 @@
 """Cartesian and Kronecker graph products and their eccentric structure.
 
 Flat vertex indices are row-major with the first factor most significant,
-fixed once in ProductIndexMap; every cross-module comparison (identity-map
-equalities, matrix factorizations) relies on this single convention.
+fixed once in ProductIndexMap, which ``intmatrix.kronecker_matrix`` follows
+too; every cross-module comparison (identity-map equalities, matrix
+factorizations) relies on this single convention.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .eccentric import eccentric_girth, eccentric_graph, eccentricity_profile, is_eccentric
+from .eccentric import (
+    _graph_from_adjacency,
+    eccentric_adjacency,
+    eccentric_girth,
+    eccentric_graph,
+    eccentricity_profile,
+    is_eccentric,
+)
 from .errors import (
     InputError,
     PreconditionError,
@@ -41,7 +50,7 @@ class ProductIndexMap:
     def size(self) -> int:
         return math.prod(self.factor_sizes)
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
         strides = []
         s = 1
@@ -60,16 +69,16 @@ class ProductIndexMap:
         return tuple(coords)
 
 
-def _check_cap(sizes: Sequence[int], size_cap: int) -> None:
-    if math.prod(sizes) > size_cap:
+def _capped_index_map(factors: Sequence[Graph]) -> ProductIndexMap:
+    index_map = ProductIndexMap(tuple(g.num_vertices for g in factors))
+    if index_map.size > DEFAULT_SIZE_CAP:
         raise SizeCapError(
-            f"product on {math.prod(sizes)} vertices exceeds the cap of {size_cap}"
+            f"product on {index_map.size} vertices exceeds the cap of {DEFAULT_SIZE_CAP}"
         )
+    return index_map
 
 
-def cartesian_product(
-    factors: Sequence[Graph], size_cap: int = DEFAULT_SIZE_CAP
-) -> tuple[Graph, ProductIndexMap]:
+def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndexMap]:
     """Vertices are coordinate tuples; edges change exactly one coordinate
     along an edge of that factor."""
     if len(factors) < 2:
@@ -79,8 +88,7 @@ def cartesian_product(
             raise InputError("each factor needs at least two vertices")
         if not is_connected(g):
             raise InputError("each factor must be connected")
-    index_map = ProductIndexMap(tuple(g.num_vertices for g in factors))
-    _check_cap(index_map.factor_sizes, size_cap)
+    index_map = _capped_index_map(factors)
     strides = index_map.strides
     total = index_map.size
     edges = []
@@ -93,29 +101,25 @@ def cartesian_product(
     return _graph_unchecked(total, edges), index_map
 
 
-def kronecker_product_graph(
-    a: Graph, b: Graph, size_cap: int = DEFAULT_SIZE_CAP
-) -> Graph:
+def kronecker_product_graph(a: Graph, b: Graph) -> Graph:
     """Tuples adjacent iff adjacent in both coordinates; same index layout
     as the 2-factor Cartesian product."""
     if a.num_vertices < 2 or b.num_vertices < 2:
         raise InputError("each factor needs at least two vertices")
-    _check_cap((a.num_vertices, b.num_vertices), size_cap)
-    nb = b.num_vertices
+    index_map = _capped_index_map((a, b))
+    s, _ = index_map.strides
     edges = set()
     for u1, v1 in a.edges:
         for u2, v2 in b.edges:
-            edges.add((u1 * nb + u2, v1 * nb + v2))
-            edges.add((u1 * nb + v2, v1 * nb + u2))
-    return _graph_unchecked(a.num_vertices * nb, edges)
+            edges.add((u1 * s + u2, v1 * s + v2))
+            edges.add((u1 * s + v2, v1 * s + u2))
+    return _graph_unchecked(index_map.size, edges)
 
 
-def check_additivity(
-    factors: Sequence[Graph], size_cap: int = DEFAULT_SIZE_CAP
-) -> bool:
+def check_additivity(factors: Sequence[Graph]) -> bool:
     """Product distances and eccentricities equal the sums over factors,
     with the product side computed by direct BFS."""
-    product, index_map = cartesian_product(factors, size_cap)
+    product, index_map = cartesian_product(factors)
     dd = all_pairs_distances(product)
     factor_dd = [all_pairs_distances(g) for g in factors]
     total = index_map.size
@@ -134,16 +138,14 @@ def check_additivity(
     return True
 
 
-def check_componentwise_eccentric(
-    factors: Sequence[Graph], size_cap: int = DEFAULT_SIZE_CAP
-) -> bool:
+def check_componentwise_eccentric(factors: Sequence[Graph]) -> bool:
     """v eccentric to u in the product iff v_i eccentric to u_i in every factor.
 
     The eccentric set of u must equal the flat indices of the coordinate
     tuples drawn from the factors' eccentric sets of the u_i. It is built
     one factor at a time: shifting a bitset by ``y * stride`` adds
     coordinate y of that factor to every member."""
-    product, index_map = cartesian_product(factors, size_cap)
+    product, index_map = cartesian_product(factors)
     far = eccentricity_profile(product).far
     factor_far = [eccentricity_profile(g).far for g in factors]
     strides = index_map.strides
@@ -225,19 +227,17 @@ def four_cycle_witness(
     return a, b, c, d
 
 
-def check_kronecker_correspondence(
-    a: Graph, b: Graph, size_cap: int = DEFAULT_SIZE_CAP
-) -> bool:
+def check_kronecker_correspondence(a: Graph, b: Graph) -> bool:
     """For self-centered factors, E(a box b) equals E(a) x E(b) as labeled
     graphs under the shared index map (the isomorphism is the identity)."""
+    factor_graphs = []
     for g in (a, b):
-        ecc = eccentricity_profile(g).ecc
+        ecc, nbrs = eccentric_adjacency(g)
         if min(ecc) != max(ecc):
             raise PreconditionError("factors must be self-centered (constant eccentricity)")
-    product, _ = cartesian_product([a, b], size_cap)
-    lhs = eccentric_graph(product)
-    rhs = kronecker_product_graph(eccentric_graph(a), eccentric_graph(b), size_cap)
-    return lhs.edge_set == rhs.edge_set
+        factor_graphs.append(_graph_from_adjacency(nbrs))
+    product, _ = cartesian_product([a, b])
+    return eccentric_graph(product).edge_set == kronecker_product_graph(*factor_graphs).edge_set
 
 
 def predicted_product_girth_general(factors: Sequence[Graph]) -> Optional[int]:
@@ -286,29 +286,19 @@ def grid_eccentric_closed_form(m: int, n: int) -> Graph:
     the m=2 boundary deviates (see the product girth classification)."""
     if m < 3 or n < 3:
         raise UnsupportedSizeError("closed form requires m, n >= 3")
-    corners = {
-        "mn": (m - 1) * n + (n - 1),
-        "11": 0,
-        "m1": (m - 1) * n,
-        "1n": n - 1,
-    }
+    index_map = ProductIndexMap((m, n))
     edges = set()
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            flat = (i - 1) * n + (j - 1)
-            targets = []
-            if i <= (m + 1) // 2 and j <= (n + 1) // 2:
-                targets.append(corners["mn"])
-            if i > m // 2 and j > n // 2:
-                targets.append(corners["11"])
-            if i <= (m + 1) // 2 and j > n // 2:
-                targets.append(corners["m1"])
-            if i > m // 2 and j <= (n + 1) // 2:
-                targets.append(corners["1n"])
-            for c in targets:
-                if c != flat:
-                    edges.add((flat, c) if flat < c else (c, flat))
-    return _graph_unchecked(m * n, edges)
+    for flat in range(index_map.size):
+        i, j = index_map.unflatten(flat)
+        # The far rows and columns of the quadrants holding (i, j).
+        rows = [r for r, inside in ((m - 1, i <= (m - 1) // 2), (0, i >= m // 2)) if inside]
+        cols = [c for c, inside in ((n - 1, j <= (n - 1) // 2), (0, j >= n // 2)) if inside]
+        for r in rows:
+            for c in cols:
+                corner = index_map.flatten((r, c))
+                if corner != flat:
+                    edges.add((flat, corner) if flat < corner else (corner, flat))
+    return _graph_unchecked(index_map.size, edges)
 
 
 @dataclass(frozen=True)
@@ -361,11 +351,12 @@ def cn_cn_isomorphism(n: int) -> tuple[int, ...]:
         r = x % n
         return n if r == 0 else r
 
-    perm = [0] * (n * n)
+    index_map = ProductIndexMap((n, n))
+    perm = [0] * index_map.size
     for i in range(1, n + 1):
         s = t = 1 if i == 1 else n + 2 - i
         for j in range(1, n + 1):
             a = wrap(s + j - 1)
             b = wrap(t + 1 - j)
-            perm[(i - 1) * n + (j - 1)] = (a - 1) * n + (b - 1)
+            perm[index_map.flatten((i - 1, j - 1))] = index_map.flatten((a - 1, b - 1))
     return tuple(perm)

@@ -78,11 +78,12 @@ class CheckReport:
 class Suite:
     """``corpus(trees_max_n, samples, seed)`` returns a description of the
     cases and their chunks; ``check(case)`` returns ``(ok, witness)``. A
-    ``default_samples`` of 0 marks a fixed corpus, which takes no samples."""
+    ``default_samples`` of 0 marks a fixed corpus, which takes no samples
+    and no seed."""
 
     name: str
     default_samples: int
-    corpus: Callable[[int, int, int], tuple[str, list[Chunk]]]
+    corpus: Callable[[int, int, Optional[int]], tuple[str, list[Chunk]]]
     check: Callable[[object], tuple[bool, Optional[dict]]]
 
 
@@ -440,13 +441,14 @@ def run_suite(
     name: str,
     trees_max_n: int = ENUMERATION_MAX_VERTICES,
     samples: Optional[int] = None,
-    seed: int = 0,
+    seed: Optional[int] = None,
     jobs: int = 1,
 ) -> CheckReport:
-    """Check every case of a suite's corpus. With ``jobs > 1`` the chunks go
-    to that many spawned worker processes, which re-import the calling
-    script: a script that calls this needs an ``if __name__ == "__main__"``
-    guard."""
+    """Check every case of a suite's corpus. A seeded suite's ``seed``
+    defaults to 0; a fixed-corpus suite takes none and reports ``None``.
+    With ``jobs > 1`` the chunks go to that many spawned worker processes,
+    which re-import the calling script: a script that calls this needs an
+    ``if __name__ == "__main__"`` guard."""
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     suite = SUITES[name]
@@ -456,12 +458,14 @@ def run_suite(
         )
     if samples is not None and samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
-    if samples is not None and suite.default_samples == 0:
-        raise InputError(f"suite {name!r} has a fixed corpus and takes no samples")
+    if suite.default_samples == 0 and (samples is not None or seed is not None):
+        raise InputError(f"suite {name!r} has a fixed corpus and takes no samples or seed")
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     if samples is None:
         samples = suite.default_samples
+    if seed is None and suite.default_samples:
+        seed = 0
     start = time.perf_counter()
     corpus, chunks = suite.corpus(trees_max_n, samples, seed)
     checks = itertools.repeat(suite.check)

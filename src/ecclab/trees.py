@@ -17,9 +17,11 @@ from typing import Iterator, Optional, Sequence
 from .eccentric import eccentric_adjacency, eccentric_graph
 from .errors import InputError, NoStemError, UnsupportedSizeError
 from .graphs import (
+    DistanceData,
     Graph,
     _graph_unchecked,
     all_pairs_distances,
+    bfs_distances,
     is_connected,
     members,
 )
@@ -139,24 +141,34 @@ def stem_at(t: Tree, leaf: int) -> tuple[int, ...]:
     return tuple(path)
 
 
+def _path_from_source(
+    adjacency: tuple[tuple[int, ...], ...], row: Sequence[int], v: int
+) -> tuple[int, ...]:
+    """The path from the source of the BFS row ``row`` to v in a tree, read
+    off the row: from v, step to the one neighbour closer to the source."""
+    path = [v]
+    d = row[v]
+    while d:
+        d -= 1
+        v = next(w for w in adjacency[v] if row[w] == d)
+        path.append(v)
+    path.reverse()
+    return tuple(path)
+
+
 def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     """The unique path between two vertices of a tree."""
     adjacency = t.graph.adjacency
-    parent = {u: -1}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            break
-        for w in adjacency[x]:
-            if w not in parent:
-                parent[w] = x
-                stack.append(w)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
+    return _path_from_source(adjacency, bfs_distances(adjacency, u), v)
+
+
+def _diametral_pairs(dd: DistanceData) -> Iterator[tuple[int, int]]:
+    """The vertex pairs u < v at distance diameter, in row order."""
+    diam = dd.diameter
+    for u, row in enumerate(dd.dist):
+        for v in range(u + 1, len(row)):
+            if row[v] == diam:
+                yield u, v
 
 
 def diametrical_paths(t: Tree) -> list[DiametricalPath]:
@@ -166,14 +178,11 @@ def diametrical_paths(t: Tree) -> list[DiametricalPath]:
     construction side of the tree theorems stays off the kernel that
     computes the eccentric graphs it is checked against."""
     dd = all_pairs_distances(t.graph)
-    diam = dd.diameter
-    paths = []
-    for u in range(t.num_vertices):
-        row = dd.dist[u]
-        for v in range(u + 1, t.num_vertices):
-            if row[v] == diam:
-                paths.append(DiametricalPath(tree_path(t, u, v)))
-    return paths
+    adjacency = t.graph.adjacency
+    return [
+        DiametricalPath(_path_from_source(adjacency, dd.dist[u], v))
+        for u, v in _diametral_pairs(dd)
+    ]
 
 
 def induced_subtree(t: Tree, p: DiametricalPath) -> InducedSubtree:
@@ -222,9 +231,7 @@ def check_structure_theorem(t: Tree) -> tuple[bool, Optional[tuple[int, int]]]:
     flag and a mismatching edge if any."""
     expected = set(eccentric_graph(t.graph).edges)
     union: set[tuple[int, int]] = set()
-    paths = diametrical_paths(t)
-    for p in paths:
-        sub = _induced_subtree(t, p, paths)
+    for sub in decompose(t).induced_subtrees:
         labels = sub.vertices
         for a, b in eccentric_graph(sub.tree.graph).edges:
             u, v = labels[a], labels[b]
@@ -244,19 +251,9 @@ def predicted_tree_girth(t: Tree) -> int:
     ``eccentric_sets`` kernel that computes the eccentric graph it is
     checked against."""
     dd = all_pairs_distances(t.graph)
-    diam = dd.diameter
-    if diam % 2 == 0:
+    if dd.diameter % 2 == 0:
         return 3
-    n = t.num_vertices
-    pairs = 0
-    for u in range(n):
-        row = dd.dist[u]
-        for v in range(u + 1, n):
-            if row[v] == diam:
-                pairs += 1
-                if pairs > 1:
-                    return 4
-    return 0
+    return 0 if len(list(itertools.islice(_diametral_pairs(dd), 2))) == 1 else 4
 
 
 def check_monotone_exclusion(t: Tree) -> bool:

@@ -190,6 +190,7 @@ def test_check_negative_samples_exit_2(tmp_path, capsys):
         ["check", "additivity", "--trees-max-n", "99", "--samples", "3"],
         ["check", "grid", "--samples", "5"],
         ["check", "cncn-iso", "--samples", "0"],
+        ["check", "grid", "--seed", "5"],
     ],
 )
 def test_check_rejects_unused_options_exit_2(tmp_path, capsys, argv):
@@ -214,6 +215,13 @@ def test_check_report_keys(tmp_path, capsys):
         "check_name", "corpus", "pass_count", "fail_count",
         "first_failure_witness", "wall_time", "seed",
     ]
+
+
+def test_check_fixed_corpus_reports_no_seed(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["check", "cncn-iso", "--report", str(report)]) == 0
+    assert "seed" not in capsys.readouterr().out
+    assert json.loads(report.read_text())["seed"] is None
 
 
 def test_missing_input_exit_2(capsys):

@@ -65,12 +65,12 @@ def test_bareiss_handles_zero_pivots():
 def test_kronecker_block_layout():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     b = IntMatrix.from_rows([[0, 5], [6, 7]])
-    # Block (i,j) of the result is b[i][j] * a.
+    # Block (i,j) of the result is a[i][j] * b.
     assert kronecker_matrix(a, b).entries == (
-        (0, 0, 5, 10),
-        (0, 0, 15, 20),
-        (6, 12, 7, 14),
-        (18, 24, 21, 28),
+        (0, 5, 0, 10),
+        (6, 7, 12, 14),
+        (0, 15, 0, 20),
+        (18, 21, 24, 28),
     )
 
 

@@ -56,6 +56,12 @@ def test_classification_side_cap():
         check_invertibility_classification(trees(path(100), path(100)))
 
 
+def test_star_probe_side_cap():
+    # S_600 box P_2^3 has side 601 * 8 = 4808.
+    with pytest.raises(SizeCapError):
+        star_product_determinant_probe(600, 3)
+
+
 def test_star_probe_matches_block_form():
     for n_leaves, num_p2 in ((2, 0), (3, 0), (3, 1), (4, 1), (3, 2), (2, 3)):
         probe = star_product_determinant_probe(n_leaves, num_p2)

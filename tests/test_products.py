@@ -2,11 +2,12 @@ import dataclasses
 
 import pytest
 
-from ecclab import products
+from ecclab import eccentric, products
 from ecclab.eccentric import eccentric_girth, eccentric_graph
 from ecclab.errors import InputError, PreconditionError, SizeCapError, UnsupportedSizeError
 from ecclab.families import complete, cycle, path, star
 from ecclab.graphs import build_graph, connected_components, girth
+from ecclab.intmatrix import IntMatrix, kronecker_matrix
 from ecclab.products import (
     ProductIndexMap,
     cartesian_product,
@@ -68,6 +69,18 @@ def test_kronecker_graph_examples():
     assert all(k3k2.degree(v) == 2 for v in range(6))
     edgeless = kronecker_product_graph(path(2), build_graph(2, []))
     assert edgeless.num_edges == 0
+
+
+@pytest.mark.parametrize("a, b", [(path(3), path(2)), (path(2), path(3)), (cycle(4), star(2))])
+def test_kronecker_matrix_is_the_kronecker_graph_adjacency(a, b):
+    def adjacency_matrix(g):
+        return IntMatrix.from_rows(
+            [[int(g.has_edge(u, v)) for v in range(g.num_vertices)] for u in range(g.num_vertices)]
+        )
+
+    assert kronecker_matrix(adjacency_matrix(a), adjacency_matrix(b)) == adjacency_matrix(
+        kronecker_product_graph(a, b)
+    )
 
 
 def test_additivity_instances():
@@ -149,6 +162,19 @@ def test_kronecker_correspondence():
     assert check_kronecker_correspondence(complete(3), complete(4))
     with pytest.raises(PreconditionError):
         check_kronecker_correspondence(path(4), cycle(4))
+
+
+def test_kronecker_correspondence_runs_the_kernel_once_per_graph(monkeypatch):
+    calls = []
+    real = eccentric.eccentric_sets
+
+    def counted(g):
+        calls.append(g.num_vertices)
+        return real(g)
+
+    monkeypatch.setattr(eccentric, "eccentric_sets", counted)
+    assert check_kronecker_correspondence(cycle(5), complete(3))
+    assert sorted(calls) == [3, 5, 15]
 
 
 def test_predicted_product_girth_general():

@@ -92,7 +92,7 @@ def test_pinned_report(name, monkeypatch):
     assert (r.check_name, r.pass_count, r.fail_count, r.corpus) == (
         name, pass_count, fail_count, corpus,
     )
-    assert r.seed == kwargs.get("seed", 0)
+    assert r.seed == kwargs.get("seed")
     assert r.first_failure_witness is None and r.passed
     assert len(received) == pass_count + fail_count
     assert hashlib.sha256(repr(received).encode()).hexdigest()[:16] == digest
@@ -156,6 +156,8 @@ def test_empty_corpus_does_not_pass():
         ("additivity", dict(trees_max_n=1)),
         ("grid", dict(samples=5)),
         ("kronecker-correspondence", dict(samples=0)),
+        ("grid", dict(seed=5)),
+        ("cncn-iso", dict(seed=0)),
     ],
 )
 def test_bad_arguments_raise(name, kwargs):
