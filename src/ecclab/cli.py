@@ -17,7 +17,7 @@ from .eccentric import eccentric_graph, eccentricity_matrix
 from .errors import EcclabError, InputError
 from .families import FAMILIES, FamilySpec, build_family
 from .intmatrix import determinant
-from .products import ProductIndexMap, cartesian_product, kronecker_product_graph
+from .products import cartesian_product, kronecker_product_graph
 from .serialize import (
     GraphDocument,
     graph_to_dict,
@@ -29,7 +29,7 @@ from .serialize import (
 from .suites import SUITE_NAMES, run_suite
 from .trees import ENUMERATION_MAX_VERTICES, random_tree
 
-GEN_FAMILIES = FAMILIES + ("random-tree",)
+GEN_FAMILIES = (*FAMILIES, "random-tree")
 
 
 def _write_output(text: str, output: Optional[str]) -> None:
@@ -82,13 +82,12 @@ def cmd_product(args: argparse.Namespace) -> int:
     docs = [load_graph(p) for p in args.inputs]
     graphs = [d.graph for d in docs]
     if args.kind == "cartesian":
-        product, index_map = cartesian_product(graphs)
+        product, _ = cartesian_product(graphs)
     else:
         if len(graphs) != 2:
             raise InputError("kronecker products take exactly two inputs")
         product = kronecker_product_graph(graphs[0], graphs[1])
-        index_map = ProductIndexMap((graphs[0].num_vertices, graphs[1].num_vertices))
-    name = f"{args.kind} product, row-major factor sizes {list(index_map.factor_sizes)}"
+    name = f"{args.kind} product, row-major factor sizes {[g.num_vertices for g in graphs]}"
     _emit_document(GraphDocument(graph=product, name=name), args.output)
     return 0
 
@@ -164,7 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a named verification suite")
     p_check.add_argument("suite", choices=SUITE_NAMES)
-    p_check.add_argument("--trees-max-n", type=int, default=ENUMERATION_MAX_VERTICES)
+    p_check.add_argument(
+        "--trees-max-n",
+        type=int,
+        help=f"largest labeled tree of a tree suite (default {ENUMERATION_MAX_VERTICES})",
+    )
     p_check.add_argument("--samples", type=int, default=None)
     p_check.add_argument("--seed", type=int, help="corpus seed of a seeded suite (default 0)")
     p_check.add_argument("--jobs", type=int, help="worker processes (default: ECCLAB_JOBS or 1)")

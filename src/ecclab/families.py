@@ -16,19 +16,6 @@ from .errors import InputError
 from .graphs import Graph, _graph_unchecked
 from .products import cartesian_product
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "star",
-    "double_star",
-    "complete",
-    "complete_bipartite",
-    "h_graph",
-    "grid",
-    "hypercube",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -105,22 +92,24 @@ def hypercube(k: int) -> Graph:
     return g
 
 
+FAMILIES = {
+    "path": path,
+    "cycle": cycle,
+    "star": star,
+    "double_star": double_star,
+    "complete": complete,
+    "complete_bipartite": complete_bipartite,
+    "h_graph": h_graph,
+    "grid": grid,
+    "hypercube": hypercube,
+}
+
+
 def build_family(spec: FamilySpec) -> Graph:
-    constructors = {
-        "path": path,
-        "cycle": cycle,
-        "star": star,
-        "double_star": double_star,
-        "complete": complete,
-        "complete_bipartite": complete_bipartite,
-        "h_graph": h_graph,
-        "grid": grid,
-        "hypercube": hypercube,
-    }
-    if spec.family not in constructors:
+    if spec.family not in FAMILIES:
         raise InputError(f"unknown family {spec.family!r}")
     try:
-        return constructors[spec.family](*spec.params)
+        return FAMILIES[spec.family](*spec.params)
     except TypeError as exc:
         raise InputError(f"bad parameters for {spec.family}: {spec.params}") from exc
 

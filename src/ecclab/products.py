@@ -19,7 +19,6 @@ from .eccentric import (
     eccentric_girth,
     eccentric_graph,
     eccentricity_profile,
-    is_eccentric,
 )
 from .errors import (
     InputError,
@@ -181,26 +180,25 @@ def four_cycle_witness(
         raise InputError("s and t must be distinct factor indices")
     if set(fillers) != set(range(k)) - {s, t}:
         raise InputError("fillers must cover exactly the remaining factors")
-    profiles = [eccentricity_profile(g) for g in factors]
+    adjacency = [eccentric_adjacency(g) for g in factors]
 
     def e_adjacent(i: int, x: int, y: int) -> bool:
-        p = profiles[i]
-        return x != y and (is_eccentric(p, x, y) or is_eccentric(p, y, x))
+        return adjacency[i][1][x] >> y & 1 == 1
 
     u_s, v_s, w_s = s_triple
-    ecc_s = profiles[s].ecc
+    ecc_s = adjacency[s][0]
     if not (e_adjacent(s, u_s, v_s) and e_adjacent(s, v_s, w_s)):
         raise PreconditionError("s-triple is not a 2-path in the factor eccentric graph")
     if ecc_s[v_s] < max(ecc_s[u_s], ecc_s[w_s]):
         raise PreconditionError("s-triple middle vertex must have maximal eccentricity")
     u_t, v_t, w_t = t_triple
-    ecc_t = profiles[t].ecc
+    ecc_t = adjacency[t][0]
     if not (e_adjacent(t, u_t, v_t) and e_adjacent(t, v_t, w_t)):
         raise PreconditionError("t-triple is not a 2-path in the factor eccentric graph")
     if ecc_t[v_t] > min(ecc_t[u_t], ecc_t[w_t]):
         raise PreconditionError("t-triple middle vertex must have minimal eccentricity")
     for i, (u_i, v_i) in fillers.items():
-        ecc_i = profiles[i].ecc
+        ecc_i = adjacency[i][0]
         if not e_adjacent(i, u_i, v_i):
             raise PreconditionError(f"filler for factor {i} is not an eccentric edge")
         if ecc_i[u_i] < ecc_i[v_i]:
@@ -240,16 +238,20 @@ def check_kronecker_correspondence(a: Graph, b: Graph) -> bool:
     return eccentric_graph(product).edge_set == kronecker_product_graph(*factor_graphs).edge_set
 
 
-def predicted_product_girth_general(factors: Sequence[Graph]) -> Optional[int]:
-    """Girth of the product eccentric graph when the general theorems apply:
-    3 if every factor has eccentric girth 3; 4 when at least two factors
-    have nonzero eccentric girth and not all are 3; None otherwise."""
-    girths = [eccentric_girth(g) for g in factors]
+def _general_product_girth(girths: Sequence[int]) -> Optional[int]:
+    """The general theorems on the factors' eccentric girths: 3 if every
+    factor has eccentric girth 3; 4 when at least two factors have nonzero
+    eccentric girth and not all are 3; None otherwise."""
     if all(g == 3 for g in girths):
         return 3
     if sum(1 for g in girths if g > 2) >= 2:
         return 4
     return None
+
+
+def predicted_product_girth_general(factors: Sequence[Graph]) -> Optional[int]:
+    """Girth of the product eccentric graph when the general theorems apply."""
+    return _general_product_girth([eccentric_girth(g) for g in factors])
 
 
 def has_four_cycle(g: Graph) -> bool:
@@ -264,19 +266,22 @@ def has_four_cycle(g: Graph) -> bool:
 
 
 def predicted_tree_product_girth(factor_trees: Sequence[Tree]) -> int:
-    """Eccentric girth of a Cartesian product of trees: 0 / 3 / 4 / 6."""
+    """Eccentric girth of a Cartesian product of trees: 0 / 3 / 4 / 6. The
+    general rule decides first; then 0 when every E(T_i) is acyclic, and 6
+    when one factor is not P_2 and its eccentric graph has a triangle but no
+    4-cycle; 4 otherwise."""
     if len(factor_trees) < 2:
         raise InputError("need at least two factors")
-    girths = [eccentric_girth(t.graph) for t in factor_trees]
+    heads = [eccentric_graph(t.graph) for t in factor_trees]
+    girths = [girth(h) for h in heads]
+    general = _general_product_girth(girths)
+    if general is not None:
+        return general
     if all(g == 0 for g in girths):
         return 0
-    if all(g == 3 for g in girths):
-        return 3
-    non_p2 = [t for t in factor_trees if not is_p2(t)]
-    if len(non_p2) == 1:
-        head = eccentric_graph(non_p2[0].graph)
-        if girth(head) == 3 and not has_four_cycle(head):
-            return 6
+    non_p2 = [h for t, h in zip(factor_trees, heads) if not is_p2(t)]
+    if len(non_p2) == 1 and girth(non_p2[0]) == 3 and not has_four_cycle(non_p2[0]):
+        return 6
     return 4
 
 
@@ -303,39 +308,38 @@ def grid_eccentric_closed_form(m: int, n: int) -> Graph:
 
 @dataclass(frozen=True)
 class CycleProductReport:
-    """Predicted structure of the eccentric graph of C_n box C_m."""
+    """Predicted structure of the eccentric graph of C_n box C_m: its girth,
+    its components (all of one size) and its edge count."""
 
     n: int
     m: int
     component_type: str  # "matching" | "disjoint-cycles" | "connected-form"
     predicted_girth: int
-    num_components: Optional[int] = None
-    component_length: Optional[int] = None
+    num_components: int
+    component_length: int
+    num_edges: int
 
 
 def cycle_product_structure(n: int, m: int) -> CycleProductReport:
-    """Classification of E(C_n box C_m): a perfect matching when both are
-    even, n/2 cycles of length 2m when exactly one is even, girth 3 only
-    for two triangles, girth 4 for the remaining odd-odd cases."""
+    """Classification of E(C_n box C_m) = E(C_n) x E(C_m).
+
+    A vertex of an even cycle has one eccentric vertex and a vertex of an
+    odd cycle two, so E(C_n box C_m) is regular of degree
+    (1 + n%2)(1 + m%2): a perfect matching when both are even; even/2
+    cycles of length 2*odd when exactly one is; and, as the Kronecker
+    product of two odd cycles is connected, one component of girth 3 for
+    two triangles and 4 otherwise when both are odd."""
     if n < 3 or m < 3:
         raise InputError("cycles need at least three vertices")
+    size = n * m
+    num_edges = size * (1 + n % 2) * (1 + m % 2) // 2
     if n % 2 == 0 and m % 2 == 0:
-        return CycleProductReport(
-            n, m, "matching", 0, num_components=n * m // 2, component_length=2
-        )
+        return CycleProductReport(n, m, "matching", 0, size // 2, 2, num_edges)
     if n % 2 == 0 or m % 2 == 0:
         even, odd = (n, m) if n % 2 == 0 else (m, n)
-        return CycleProductReport(
-            n,
-            m,
-            "disjoint-cycles",
-            2 * odd,
-            num_components=even // 2,
-            component_length=2 * odd,
-        )
-    if n == 3 and m == 3:
-        return CycleProductReport(n, m, "connected-form", 3)
-    return CycleProductReport(n, m, "connected-form", 4)
+        return CycleProductReport(n, m, "disjoint-cycles", 2 * odd, even // 2, 2 * odd, num_edges)
+    triangles = n == m == 3
+    return CycleProductReport(n, m, "connected-form", 3 if triangles else 4, 1, size, num_edges)
 
 
 def cn_cn_isomorphism(n: int) -> tuple[int, ...]:

@@ -89,14 +89,3 @@ def matrix_to_dict(m: IntMatrix) -> dict:
         "cols": m.cols,
         "entries": [[str(x) for x in row] for row in m.entries],
     }
-
-
-def matrix_from_dict(data: dict) -> IntMatrix:
-    try:
-        entries = [[int(x) for x in row] for row in data["entries"]]
-        m = IntMatrix.from_rows(entries)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix document: {exc}") from exc
-    if m.rows != int(data["rows"]) or m.cols != int(data["cols"]):
-        raise InputError("matrix dimensions do not match the entry grid")
-    return m

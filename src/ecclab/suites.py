@@ -76,14 +76,13 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class Suite:
-    """``corpus(trees_max_n, samples, seed)`` returns a description of the
-    cases and their chunks; ``check(case)`` returns ``(ok, witness)``. A
-    ``default_samples`` of 0 marks a fixed corpus, which takes no samples
-    and no seed."""
+    """``options`` maps each option the corpus takes to its default (a fixed
+    corpus takes none); ``corpus(**options)`` returns a description of the
+    cases and their chunks; ``check(case)`` returns ``(ok, witness)``."""
 
     name: str
-    default_samples: int
-    corpus: Callable[[int, int, Optional[int]], tuple[str, list[Chunk]]]
+    options: dict[str, int]
+    corpus: Callable[..., tuple[str, list[Chunk]]]
     check: Callable[[object], tuple[bool, Optional[dict]]]
 
 
@@ -172,7 +171,7 @@ def _random_product_factors(rng: random.Random) -> list[Graph]:
     return factors
 
 
-def _factors_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+def _factors_corpus(samples: int, seed: int) -> tuple[str, list[Chunk]]:
     rng = random.Random(seed)
     cases = [_random_product_factors(rng) for _ in range(samples)]
     corpus = f"{samples} seeded products of 2..3 factors on up to 6 vertices (seed {seed})"
@@ -202,7 +201,7 @@ def _random_tree_tuple(rng: random.Random) -> list[Tree]:
             return [random_tree(s, seed=rng.randrange(2**31)) for s in sizes]
 
 
-def _tree_tuple_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+def _tree_tuple_corpus(samples: int, seed: int) -> tuple[str, list[Chunk]]:
     p = lambda n: Tree(path(n))
     even_diam = Tree(path(3))  # diameter 2
     fixed = [
@@ -229,7 +228,7 @@ def _check_product_girth(factor_trees: list[Tree]):
     return False, _witness(_factors_desc([t.graph for t in factor_trees]), expected, actual)
 
 
-def _grid_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+def _grid_corpus() -> tuple[str, list[Chunk]]:
     cases = [(m, n) for m in range(3, 9) for n in range(3, 9)]
     return "grids P_m box P_n for 3 <= m, n <= 8", _drawn(cases)
 
@@ -239,12 +238,7 @@ def _check_grid(case: tuple[int, int]):
     product, _ = cartesian_product([path(m), path(n)])
     actual = eccentric_graph(product)
     predicted = grid_eccentric_closed_form(m, n)
-    if m % 2 == 0 and n % 2 == 0:
-        expected_girth = 0
-    elif m % 2 == 1 and n % 2 == 1:
-        expected_girth = 3
-    else:
-        expected_girth = 4
+    expected_girth = predicted_tree_product_girth([Tree(path(m)), Tree(path(n))])
     if actual == predicted and girth(actual) == expected_girth:
         return True, None
     return False, _witness(
@@ -254,7 +248,7 @@ def _check_grid(case: tuple[int, int]):
     )
 
 
-def _cycle_product_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+def _cycle_product_corpus() -> tuple[str, list[Chunk]]:
     cases = [(n, m) for n in range(3, 11) for m in range(3, 11)]
     return "cycle products C_n box C_m for 3 <= n, m <= 10", _drawn(cases)
 
@@ -265,40 +259,24 @@ def _check_cycle_product(case: tuple[int, int]):
     product, _ = cartesian_product([cycle(n), cycle(m)])
     eg = eccentric_graph(product)
     comps = connected_components(eg)
+    expected = {
+        "girth": report.predicted_girth,
+        "num_components": report.num_components,
+        "component_sizes": [report.component_length],
+        "num_edges": report.num_edges,
+    }
     actual = {
         "girth": girth(eg),
         "num_components": len(comps),
         "component_sizes": sorted({len(c) for c in comps}),
+        "num_edges": eg.num_edges,
     }
-    if report.component_type == "matching":
-        ok = (
-            actual["girth"] == 0
-            and actual["num_components"] == report.num_components
-            and actual["component_sizes"] == [2]
-        )
-    elif report.component_type == "disjoint-cycles":
-        # Every component a single cycle: girth equals component length and
-        # the edge count equals the vertex count.
-        ok = (
-            actual["girth"] == report.predicted_girth
-            and actual["num_components"] == report.num_components
-            and actual["component_sizes"] == [report.component_length]
-            and len(eg.edges) == eg.num_vertices
-        )
-    else:
-        ok = actual["girth"] == report.predicted_girth
-    if ok:
+    if actual == expected:
         return True, None
-    expected = {
-        "type": report.component_type,
-        "girth": report.predicted_girth,
-        "num_components": report.num_components,
-        "component_length": report.component_length,
-    }
     return False, _witness({"n": n, "m": m}, expected, actual)
 
 
-def _cncn_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+def _cncn_corpus() -> tuple[str, list[Chunk]]:
     return "C_n box C_n vs C_n x C_n for n in {3, 5, 7, 9}", _drawn([3, 5, 7, 9])
 
 
@@ -313,7 +291,7 @@ def _check_cncn_iso(n: int):
     return False, _witness({"n": n}, "isomorphic via closed-form map", "edge mismatch")
 
 
-def _self_centered_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+def _self_centered_corpus() -> tuple[str, list[Chunk]]:
     pool: list[Graph] = [cycle(n) for n in range(3, 9)]
     pool += [complete(n) for n in range(2, 6)]
     pool += [hypercube(k) for k in range(1, 6)]
@@ -336,7 +314,7 @@ def _random_matrix(rng: random.Random, n: int, bound: int) -> IntMatrix:
     return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
 
 
-def _matrix_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+def _matrix_corpus(samples: int, seed: int) -> tuple[str, list[Chunk]]:
     """One-matrix cases compare Bareiss with permutation expansion; two-matrix
     cases check det(A (x) B) = det(A)^p det(B)^n."""
     rng = random.Random(seed)
@@ -368,7 +346,7 @@ def _check_determinant(case: tuple[IntMatrix, ...]):
     return False, _witness(input_desc, expected, actual)
 
 
-def _invertibility_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[Chunk]]:
+def _invertibility_corpus(samples: int, seed: int) -> tuple[str, list[Chunk]]:
     rng = random.Random(seed)
     cases: list[list[Tree]] = [
         [Tree(path(3)), Tree(path(3))],
@@ -399,22 +377,27 @@ def _check_invertibility(factor_trees: list[Tree]):
 
 # ---------------------------------------------------------------------------
 
+_TREE_OPTIONS = {"trees_max_n": ENUMERATION_MAX_VERTICES, "samples": 1000, "seed": 0}
+
 SUITES: dict[str, Suite] = {
     s.name: s
     for s in (
-        Suite("tree-girth", 1000, _tree_corpus, _check_tree_girth),
-        Suite("structure", 1000, _tree_corpus, _check_tree_structure),
-        Suite("monotone", 1000, _tree_corpus, _check_tree_monotone),
-        Suite("additivity", 200, _factors_corpus, _check_additivity),
-        Suite("componentwise", 200, _factors_corpus, _check_componentwise),
-        Suite("product-girth", 300, _tree_tuple_corpus, _check_product_girth),
-        Suite("grid", 0, _grid_corpus, _check_grid),
-        Suite("cycle-product", 0, _cycle_product_corpus, _check_cycle_product),
-        Suite("cncn-iso", 0, _cncn_corpus, _check_cncn_iso),
-        Suite("kronecker-correspondence", 0, _self_centered_corpus,
+        Suite("tree-girth", _TREE_OPTIONS, _tree_corpus, _check_tree_girth),
+        Suite("structure", _TREE_OPTIONS, _tree_corpus, _check_tree_structure),
+        Suite("monotone", _TREE_OPTIONS, _tree_corpus, _check_tree_monotone),
+        Suite("additivity", {"samples": 200, "seed": 0}, _factors_corpus, _check_additivity),
+        Suite("componentwise", {"samples": 200, "seed": 0}, _factors_corpus,
+              _check_componentwise),
+        Suite("product-girth", {"samples": 300, "seed": 0}, _tree_tuple_corpus,
+              _check_product_girth),
+        Suite("grid", {}, _grid_corpus, _check_grid),
+        Suite("cycle-product", {}, _cycle_product_corpus, _check_cycle_product),
+        Suite("cncn-iso", {}, _cncn_corpus, _check_cncn_iso),
+        Suite("kronecker-correspondence", {}, _self_centered_corpus,
               _check_kronecker_correspondence),
-        Suite("kronecker-det", 500, _matrix_corpus, _check_determinant),
-        Suite("invertibility", 500, _invertibility_corpus, _check_invertibility),
+        Suite("kronecker-det", {"samples": 500, "seed": 0}, _matrix_corpus, _check_determinant),
+        Suite("invertibility", {"samples": 500, "seed": 0}, _invertibility_corpus,
+              _check_invertibility),
     )
 }
 
@@ -439,35 +422,36 @@ def _run_chunk(check: Callable, chunk: Chunk) -> tuple[int, int, Optional[dict]]
 
 def run_suite(
     name: str,
-    trees_max_n: int = ENUMERATION_MAX_VERTICES,
+    trees_max_n: Optional[int] = None,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
     jobs: int = 1,
 ) -> CheckReport:
-    """Check every case of a suite's corpus. A seeded suite's ``seed``
-    defaults to 0; a fixed-corpus suite takes none and reports ``None``.
+    """Check every case of a suite's corpus. An option left as None takes
+    the suite's default; an option the suite's corpus does not take raises
+    InputError, so a fixed-corpus suite takes none and reports no seed.
     With ``jobs > 1`` the chunks go to that many spawned worker processes,
     which re-import the calling script: a script that calls this needs an
     ``if __name__ == "__main__"`` guard."""
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     suite = SUITES[name]
-    if not 2 <= trees_max_n <= ENUMERATION_MAX_VERTICES:
+    given = dict(trees_max_n=trees_max_n, samples=samples, seed=seed)
+    given = {k: v for k, v in given.items() if v is not None}
+    unused = [k for k in given if k not in suite.options]
+    if unused:
+        raise InputError(f"suite {name!r} takes no {', '.join(unused)}")
+    if trees_max_n is not None and not 2 <= trees_max_n <= ENUMERATION_MAX_VERTICES:
         raise InputError(
             f"trees_max_n must be in 2..{ENUMERATION_MAX_VERTICES}, got {trees_max_n}"
         )
     if samples is not None and samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
-    if suite.default_samples == 0 and (samples is not None or seed is not None):
-        raise InputError(f"suite {name!r} has a fixed corpus and takes no samples or seed")
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
-    if samples is None:
-        samples = suite.default_samples
-    if seed is None and suite.default_samples:
-        seed = 0
+    options = {**suite.options, **given}
     start = time.perf_counter()
-    corpus, chunks = suite.corpus(trees_max_n, samples, seed)
+    corpus, chunks = suite.corpus(**options)
     checks = itertools.repeat(suite.check)
     if jobs > 1:
         context = multiprocessing.get_context("spawn")
@@ -482,5 +466,5 @@ def run_suite(
         fail_count=sum(r[1] for r in results),
         first_failure_witness=next((r[2] for r in results if r[2] is not None), None),
         wall_time=time.perf_counter() - start,
-        seed=seed,
+        seed=options.get("seed"),
     )

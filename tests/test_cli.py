@@ -191,6 +191,7 @@ def test_check_negative_samples_exit_2(tmp_path, capsys):
         ["check", "grid", "--samples", "5"],
         ["check", "cncn-iso", "--samples", "0"],
         ["check", "grid", "--seed", "5"],
+        ["check", "additivity", "--trees-max-n", "5", "--samples", "1"],
     ],
 )
 def test_check_rejects_unused_options_exit_2(tmp_path, capsys, argv):

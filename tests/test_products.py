@@ -248,10 +248,15 @@ def test_cycle_product_structure_matches_brute_force():
         product, _ = cartesian_product([cycle(n), cycle(m)])
         eg = eccentric_graph(product)
         assert girth(eg) == r.predicted_girth
-        if r.num_components is not None:
-            comps = connected_components(eg)
-            assert len(comps) == r.num_components
-            assert {len(c) for c in comps} == {r.component_length}
+        comps = connected_components(eg)
+        assert len(comps) == r.num_components
+        assert {len(c) for c in comps} == {r.component_length}
+        assert eg.num_edges == r.num_edges
+
+
+def test_odd_cycle_product_is_one_component():
+    r = cycle_product_structure(5, 7)
+    assert (r.num_components, r.component_length, r.num_edges) == (1, 35, 70)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

@@ -9,7 +9,6 @@ from ecclab.serialize import (
     graph_to_dict,
     graph_to_dot,
     load_graph,
-    matrix_from_dict,
     matrix_to_dict,
     save_graph,
 )
@@ -68,12 +67,4 @@ def test_matrix_roundtrip_with_big_integers():
     big = 10**40
     m = IntMatrix.from_rows([[0, big], [-big, 1]])
     data = matrix_to_dict(m)
-    assert data["entries"][0][1] == str(big)
-    assert matrix_from_dict(data) == m
-
-
-def test_matrix_dict_validation():
-    with pytest.raises(InputError):
-        matrix_from_dict({"rows": 2, "cols": 2, "entries": [["1", "x"], ["0", "1"]]})
-    with pytest.raises(InputError):
-        matrix_from_dict({"rows": 3, "cols": 2, "entries": [["1", "2"], ["3", "4"]]})
+    assert data == {"rows": 2, "cols": 2, "entries": [["0", str(big)], [str(-big), "1"]]}

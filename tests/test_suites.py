@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,34 @@ def test_first_failure_witness_product_suite(monkeypatch):
     }
 
 
+def test_grid_takes_its_girth_from_the_tree_product_rule(monkeypatch):
+    monkeypatch.setattr(suites, "predicted_tree_product_girth", lambda trees: 6)
+    r = run_suite("grid")
+    assert (r.pass_count, r.fail_count) == (0, 36)
+    assert r.first_failure_witness["expected"]["girth"] == 6
+
+
+def test_cycle_product_checks_odd_by_odd_components(monkeypatch):
+    real = suites.cycle_product_structure
+
+    def wrong_on_odd_pairs(n, m):
+        r = real(n, m)
+        if n % 2 and m % 2:
+            r = dataclasses.replace(r, num_components=r.num_components + 1)
+        return r
+
+    monkeypatch.setattr(suites, "cycle_product_structure", wrong_on_odd_pairs)
+    r = run_suite("cycle-product")
+    assert (r.pass_count, r.fail_count) == (48, 16)
+    assert r.first_failure_witness["input"] == {"n": 3, "m": 3}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_options_are_the_corpus_parameters(name):
+    suite = suites.SUITES[name]
+    assert set(suite.options) == set(inspect.signature(suite.corpus).parameters)
+
+
 @pytest.mark.parametrize(
     "name, kwargs",
     [
@@ -158,6 +187,7 @@ def test_empty_corpus_does_not_pass():
         ("kronecker-correspondence", dict(samples=0)),
         ("grid", dict(seed=5)),
         ("cncn-iso", dict(seed=0)),
+        ("additivity", dict(trees_max_n=5)),
     ],
 )
 def test_bad_arguments_raise(name, kwargs):
