@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, eccentric_sets, girth, members
+from .graphs import Graph, bitset_girth, eccentric_sets, members
 from .intmatrix import IntMatrix
 
 
@@ -92,5 +92,6 @@ def eccentricity_matrix(g: Graph) -> IntMatrix:
 
 
 def eccentric_girth(g: Graph) -> int:
-    """Girth of the eccentric graph (0 when it is acyclic)."""
-    return girth(eccentric_graph(g))
+    """Girth of the eccentric graph (0 when it is acyclic), read off E(g)'s
+    neighbour bitsets with no ``Graph`` built."""
+    return bitset_girth(eccentric_adjacency(g)[1])

@@ -9,7 +9,11 @@ Eccentricities and eccentric sets come from one kernel, ``eccentric_sets``,
 which grows every vertex's ball over bitsets instead of tabulating all n²
 distances (the bit-parallel BFS idea of Akiba, Iwata and Yoshida, SIGMOD
 2013). ``all_pairs_distances`` keeps the per-source BFS table for the few
-callers that need distances themselves, and serves as the tests' oracle.
+callers that need distances themselves, and serves as the tests' oracle;
+``bfs_distances`` gives one row of it. Girth has one algorithm,
+``bitset_girth``: a layered BFS over neighbour bitsets, which ``girth``
+runs on a ``Graph`` and the eccentric-graph code runs on E(G)'s bitsets
+directly.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError, InputError
 
@@ -41,6 +45,15 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
+
+    @cached_property
+    def neighbour_bitsets(self) -> tuple[int, ...]:
+        """Bit w of entry v is set iff v and w are adjacent."""
+        nbrs = [0] * self.num_vertices
+        for u, v in self.edges:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        return tuple(nbrs)
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -179,35 +192,67 @@ def members(mask: int) -> list[int]:
 
 
 def girth(g: Graph) -> int:
-    """Length of the shortest cycle; 0 if acyclic.
+    """Length of the shortest cycle; 0 if acyclic. The input may be
+    disconnected."""
+    return bitset_girth(g.neighbour_bitsets)
 
-    Runs a BFS from every vertex, recording the closed walk formed by the
-    first non-tree edges; the minimum over all start vertices is exact for
-    unweighted graphs. The input may be disconnected.
+
+def bitset_girth(nbrs: Sequence[int]) -> int:
+    """Girth of the graph in which vertex u has the neighbour bitset
+    ``nbrs[u]``; 0 if it is a forest.
+
+    A forest (|E| = |V| - #components) is answered without a search.
+    Otherwise a layered BFS runs from each root in turn: an edge inside
+    layer k closes a cycle of length at most 2k+1, and a vertex of layer
+    k+1 with two parents in layer k one of length at most 2k+2. Each root
+    is dropped from the later searches; that stays exact, as the first
+    root searched on a shortest cycle still sees the whole cycle, which is
+    then found at its length.
     """
-    adjacency = g.adjacency
-    n = g.num_vertices
+    n = len(nbrs)
+    alive = (1 << n) - 1
+    components = 0
+    unseen = alive
+    while unseen:
+        reached = frontier = unseen & -unseen
+        while frontier:
+            grown = 0
+            for v in members(frontier):
+                grown |= nbrs[v]
+            frontier = grown & ~reached
+            reached |= frontier
+        unseen ^= reached
+        components += 1
+    if sum(mask.bit_count() for mask in nbrs) // 2 == n - components:
+        return 0
     best = 0  # 0 encodes "no cycle found yet"
     for root in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[root] = 0
-        queue = deque((root,))
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            if best and 2 * du + 1 > best:
-                # Deeper vertices cannot reveal a cycle shorter than best.
+        visited = frontier = 1 << root
+        depth = 0  # frontier is layer ``depth``
+        while frontier and (not best or 2 * depth + 1 < best):
+            rest = alive ^ visited
+            odd = False
+            once = twice = 0
+            for v in members(frontier):
+                mask = nbrs[v]
+                if mask & frontier:
+                    odd = True
+                    break
+                mask &= rest
+                twice |= once & mask
+                once |= mask
+            if odd:
+                best = 2 * depth + 1
                 break
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    cand = du + dist[w] + 1
-                    if best == 0 or cand < best:
-                        best = cand
+            if twice:
+                best = 2 * depth + 2
+                break
+            visited |= once
+            frontier = once
+            depth += 1
+        if best == 3:
+            break
+        alive ^= 1 << root
     return best
 
 

@@ -30,7 +30,7 @@ from .graphs import (
     Graph,
     _graph_unchecked,
     all_pairs_distances,
-    girth,
+    bitset_girth,
     is_connected,
     members,
 )
@@ -256,11 +256,16 @@ def predicted_product_girth_general(factors: Sequence[Graph]) -> Optional[int]:
 
 def has_four_cycle(g: Graph) -> bool:
     """True iff some vertex pair has at least two common neighbors."""
-    n = g.num_vertices
-    adjacency = [set(nb) for nb in g.adjacency]
+    return _has_four_cycle(g.neighbour_bitsets)
+
+
+def _has_four_cycle(nbrs: Sequence[int]) -> bool:
+    """has_four_cycle on neighbour bitsets."""
+    n = len(nbrs)
     for u in range(n):
+        mask = nbrs[u]
         for v in range(u + 1, n):
-            if len(adjacency[u] & adjacency[v]) >= 2:
+            if (mask & nbrs[v]).bit_count() >= 2:
                 return True
     return False
 
@@ -269,19 +274,21 @@ def predicted_tree_product_girth(factor_trees: Sequence[Tree]) -> int:
     """Eccentric girth of a Cartesian product of trees: 0 / 3 / 4 / 6. The
     general rule decides first; then 0 when every E(T_i) is acyclic, and 6
     when one factor is not P_2 and its eccentric graph has a triangle but no
-    4-cycle; 4 otherwise."""
+    4-cycle; 4 otherwise. Each E(T_i) is read as neighbour bitsets."""
     if len(factor_trees) < 2:
         raise InputError("need at least two factors")
-    heads = [eccentric_graph(t.graph) for t in factor_trees]
-    girths = [girth(h) for h in heads]
+    heads = [eccentric_adjacency(t.graph)[1] for t in factor_trees]
+    girths = [bitset_girth(nbrs) for nbrs in heads]
     general = _general_product_girth(girths)
     if general is not None:
         return general
     if all(g == 0 for g in girths):
         return 0
-    non_p2 = [h for t, h in zip(factor_trees, heads) if not is_p2(t)]
-    if len(non_p2) == 1 and girth(non_p2[0]) == 3 and not has_four_cycle(non_p2[0]):
-        return 6
+    non_p2 = [(g, nbrs) for t, g, nbrs in zip(factor_trees, girths, heads) if not is_p2(t)]
+    if len(non_p2) == 1:
+        g, nbrs = non_p2[0]
+        if g == 3 and not _has_four_cycle(nbrs):
+            return 6
     return 4
 
 

@@ -14,17 +14,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .eccentric import eccentric_adjacency, eccentric_graph
+from .eccentric import eccentric_adjacency
 from .errors import InputError, NoStemError, UnsupportedSizeError
-from .graphs import (
-    DistanceData,
-    Graph,
-    _graph_unchecked,
-    all_pairs_distances,
-    bfs_distances,
-    is_connected,
-    members,
-)
+from .graphs import Graph, _graph_unchecked, bfs_distances, is_connected, members
 
 ENUMERATION_MAX_VERTICES = 8
 
@@ -162,27 +154,42 @@ def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     return _path_from_source(adjacency, bfs_distances(adjacency, u), v)
 
 
-def _diametral_pairs(dd: DistanceData) -> Iterator[tuple[int, int]]:
-    """The vertex pairs u < v at distance diameter, in row order."""
-    diam = dd.diameter
-    for u, row in enumerate(dd.dist):
-        for v in range(u + 1, len(row)):
-            if row[v] == diam:
-                yield u, v
+def _double_sweep(t: Tree) -> tuple[int, list[int], int, list[int], int]:
+    """``(a, row_a, b, row_b, d)``: BFS from vertex 0 finds a vertex a of
+    largest distance, which in a tree is an end of a diametrical path; BFS
+    from a gives the diameter d and a vertex b at distance d; ``row_a`` and
+    ``row_b`` are the BFS rows of a and b."""
+    adjacency = t.graph.adjacency
+    row = bfs_distances(adjacency, 0)
+    a = row.index(max(row))
+    row_a = bfs_distances(adjacency, a)
+    d = max(row_a)
+    b = row_a.index(d)
+    return a, row_a, b, bfs_distances(adjacency, b), d
 
 
 def diametrical_paths(t: Tree) -> list[DiametricalPath]:
-    """All diameter-realizing paths, one per unordered endpoint pair.
+    """All diameter-realizing paths, one per unordered endpoint pair (u, v),
+    u < v, in ascending order of u, then v.
 
     Built from BFS distances, like ``predicted_tree_girth``: the
     construction side of the tree theorems stays off the kernel that
-    computes the eccentric graphs it is checked against."""
-    dd = all_pairs_distances(t.graph)
+    computes the eccentric graphs it is checked against. After the double
+    sweep, the ends of diametrical paths are the vertices at distance d
+    from a or from b, and each of them needs one BFS row."""
+    a, row_a, b, row_b, d = _double_sweep(t)
     adjacency = t.graph.adjacency
-    return [
-        DiametricalPath(_path_from_source(adjacency, dd.dist[u], v))
-        for u, v in _diametral_pairs(dd)
-    ]
+    ends = [v for v in range(t.num_vertices) if row_a[v] == d or row_b[v] == d]
+    rows = {a: row_a, b: row_b}
+    paths = []
+    for i, u in enumerate(ends[:-1]):
+        row = rows.get(u) or bfs_distances(adjacency, u)
+        paths.extend(
+            DiametricalPath(_path_from_source(adjacency, row, v))
+            for v in ends[i + 1:]
+            if row[v] == d
+        )
+    return paths
 
 
 def induced_subtree(t: Tree, p: DiametricalPath) -> InducedSubtree:
@@ -227,18 +234,33 @@ def decompose(t: Tree) -> TreeDecomposition:
 
 def check_structure_theorem(t: Tree) -> tuple[bool, Optional[tuple[int, int]]]:
     """Union of the induced subtrees' eccentric graphs (lifted back to the
-    original labels) versus the tree's eccentric graph. Returns the equality
-    flag and a mismatching edge if any."""
-    expected = set(eccentric_graph(t.graph).edges)
-    union: set[tuple[int, int]] = set()
+    original labels) versus the tree's eccentric graph, compared as
+    neighbour bitsets. Returns the equality flag and, on a mismatch, the
+    least mismatching edge (u, v) with u < v.
+
+    An induced subtree that keeps every vertex is the tree itself, with
+    identity labels, so its eccentric graph is the tree's."""
+    n = t.num_vertices
+    _, expected = eccentric_adjacency(t.graph)
+    union = [0] * n
     for sub in decompose(t).induced_subtrees:
         labels = sub.vertices
-        for a, b in eccentric_graph(sub.tree.graph).edges:
-            u, v = labels[a], labels[b]
-            union.add((u, v) if u < v else (v, u))
+        if len(labels) == n:
+            union = [x | y for x, y in zip(union, expected)]
+            continue
+        _, sub_nbrs = eccentric_adjacency(sub.tree.graph)
+        for a, mask in enumerate(sub_nbrs):
+            lifted = 0
+            for b in members(mask):
+                lifted |= 1 << labels[b]
+            union[labels[a]] |= lifted
     if union == expected:
         return True, None
-    return False, next(iter(union ^ expected))
+    return False, min(
+        (u, v) if u < v else (v, u)
+        for u in range(n)
+        for v in members(union[u] ^ expected[u])
+    )
 
 
 def predicted_tree_girth(t: Tree) -> int:
@@ -246,14 +268,17 @@ def predicted_tree_girth(t: Tree) -> int:
     number of diametrical paths: 3 if the diameter is even, 0 if odd with a
     unique diametrical path, 4 otherwise.
 
-    The diameter comes from BFS distances on purpose: this is the
+    The double sweep gives the diameter d from BFS on purpose: this is the
     prediction side of the tree-girth suite, kept independent of the
     ``eccentric_sets`` kernel that computes the eccentric graph it is
-    checked against."""
-    dd = all_pairs_distances(t.graph)
-    if dd.diameter % 2 == 0:
+    checked against. When d is odd, the path ends split into those at
+    distance d from b and those at distance d from a, and every pair across
+    the split is diametral; so the path is unique iff each side has one
+    vertex."""
+    _, row_a, _, row_b, d = _double_sweep(t)
+    if d % 2 == 0:
         return 3
-    return 0 if len(list(itertools.islice(_diametral_pairs(dd), 2))) == 1 else 4
+    return 0 if row_a.count(d) == row_b.count(d) == 1 else 4
 
 
 def check_monotone_exclusion(t: Tree) -> bool:

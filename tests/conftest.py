@@ -25,3 +25,21 @@ REFERENCE_ECCENTRIC_EDGES = frozenset(
 @pytest.fixture
 def reference_tree() -> Tree:
     return Tree(build_graph(12, REFERENCE_TREE_EDGES))
+
+
+def brute_force_girth(g) -> int:
+    """Girth oracle: for each edge uv, the shortest u-v path that avoids
+    that edge, plus 1; 0 when no edge lies on a cycle. Reads only
+    ``g.edges`` and ``g.adjacency``, none of the library's searches."""
+    best = 0
+    for u, v in g.edges:
+        dist = {u: 0}
+        queue = [u]
+        for x in queue:
+            for w in g.adjacency[x]:
+                if w not in dist and {x, w} != {u, v}:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        if v in dist and (best == 0 or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ecclab import graphs, products, trees
+from ecclab import eccentric, graphs, products, trees
 from ecclab.eccentric import (
     eccentric_girth,
     eccentric_graph,
@@ -13,8 +13,16 @@ from ecclab.eccentric import (
 from ecclab.errors import DisconnectedGraphError, InputError
 from ecclab.families import complete, cycle, path, star
 from ecclab.graphs import Graph, all_pairs_distances, build_graph
-from ecclab.products import cartesian_product
-from ecclab.trees import check_monotone_exclusion, enumerate_trees, random_tree
+from ecclab.products import cartesian_product, predicted_tree_product_girth
+from ecclab.trees import (
+    Tree,
+    check_monotone_exclusion,
+    check_structure_theorem,
+    diametrical_paths,
+    enumerate_trees,
+    predicted_tree_girth,
+    random_tree,
+)
 
 INF = float("inf")
 
@@ -176,13 +184,24 @@ def test_disconnected_input_raises(f):
 
 
 def test_eccentric_objects_build_no_distance_table(monkeypatch):
-    def forbidden(g):
-        raise AssertionError("all_pairs_distances called")
+    def forbidden(*args):
+        raise AssertionError("distance table or Graph of E(G) built")
 
-    for module in (graphs, products, trees):
+    for module in (graphs, products):
         monkeypatch.setattr(module, "all_pairs_distances", forbidden)
+    assert not hasattr(trees, "all_pairs_distances")
+    assert not hasattr(trees, "DistanceData")
     g = cartesian_product([path(4), cycle(5)])[0]
     eccentric_graph(g)
     eccentricity_matrix(g)
     eccentricity_profile(g)
-    assert check_monotone_exclusion(random_tree(12, seed=4))
+    # From here on no Graph of E(G) may be built either.
+    monkeypatch.setattr(eccentric, "_graph_from_adjacency", forbidden)
+    monkeypatch.setattr(products, "eccentric_graph", forbidden)
+    assert eccentric_girth(g) == 4
+    t = random_tree(12, seed=4)
+    assert check_monotone_exclusion(t)
+    assert predicted_tree_girth(t) in (0, 3, 4)
+    assert diametrical_paths(t)
+    assert check_structure_theorem(t) == (True, None)
+    assert predicted_tree_product_girth([Tree(star(3)), Tree(path(2))]) == 4

@@ -1,8 +1,14 @@
+import math
+import random
+
 import pytest
 
+from conftest import brute_force_girth
+from ecclab.eccentric import eccentric_graph
 from ecclab.errors import DisconnectedGraphError, InputError
 from ecclab.families import complete, cycle, hypercube, path
 from ecclab.graphs import (
+    Graph,
     all_pairs_distances,
     apply_vertex_map,
     bfs_distances,
@@ -111,6 +117,14 @@ def test_members():
     assert members(1 << 1000) == [1000]
 
 
+PETERSEN = build_graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+
+
 @pytest.mark.parametrize(
     "g,expected",
     [
@@ -120,10 +134,35 @@ def test_members():
         (complete(4), 3),
         (build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (3, 6)]), 4),
         (build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]), 3),
+        (PETERSEN, 5),
+        (complete(7), 3),
+        (cycle(3), 3),
+        (cycle(13), 13),
+        (eccentric_graph(cartesian_product([path(10)] * 3)[0]), 0),  # a forest
+        (build_graph(5, []), 0),
+        (build_graph(1, []), 0),
     ],
 )
 def test_girth(g, expected):
     assert girth(g) == expected
+    assert brute_force_girth(g) == expected
+
+
+def _random_graph(rng: random.Random) -> Graph:
+    n = rng.randint(1, 16)
+    p = rng.random() * 0.5
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_girth_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for g in [PETERSEN, complete(6), cycle(9)] + [_random_graph(rng) for _ in range(400)]:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.num_vertices))
+        h.add_edges_from(g.edges)
+        expected = nx.girth(h)
+        assert girth(g) == (0 if expected == math.inf else expected)
 
 
 def test_apply_vertex_map():

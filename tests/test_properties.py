@@ -1,6 +1,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from conftest import brute_force_girth
 from ecclab.eccentric import eccentric_graph
 from ecclab.graphs import (
     all_pairs_distances,
@@ -31,6 +32,12 @@ def test_girth_zero_iff_forest(g):
     # A graph is acyclic exactly when every component is a tree.
     forest = g.num_edges == g.num_vertices - len(connected_components(g))
     assert (girth(g) == 0) == forest
+
+
+@settings(max_examples=300)
+@given(graphs(min_vertices=1, max_vertices=11))
+def test_girth_matches_brute_force(g):
+    assert girth(g) == brute_force_girth(g)
 
 
 @given(graphs(connected=True))

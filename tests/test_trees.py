@@ -1,11 +1,11 @@
 import pytest
 
 from conftest import REFERENCE_ECCENTRIC_EDGES
-from ecclab import trees
+from ecclab import eccentric, graphs, trees
 from ecclab.eccentric import eccentric_graph
 from ecclab.errors import InputError, NoStemError, UnsupportedSizeError
 from ecclab.families import cycle, double_star, path, star
-from ecclab.graphs import build_graph
+from ecclab.graphs import all_pairs_distances, build_graph
 from ecclab.trees import (
     Tree,
     check_monotone_exclusion,
@@ -111,6 +111,25 @@ def test_structure_theorem_on_reference_tree(reference_tree):
     assert ok and witness is None
 
 
+def test_structure_witness_is_the_least_mismatching_edge(monkeypatch, reference_tree):
+    # Corrupt E of the subtree induced by the path 0..6, the only one on 10
+    # vertices, whose compact labels 0..7 are the original ones: drop its
+    # edge (0, 6) and add the non-edges (5, 7) and (1, 2).
+    real = trees.eccentric_adjacency
+
+    def corrupted(g):
+        ecc, nbrs = real(g)
+        if g.num_vertices == 10:
+            nbrs = list(nbrs)
+            for u, v in ((0, 6), (5, 7), (1, 2)):
+                nbrs[u] ^= 1 << v
+                nbrs[v] ^= 1 << u
+        return ecc, nbrs
+
+    monkeypatch.setattr(trees, "eccentric_adjacency", corrupted)
+    assert check_structure_theorem(reference_tree) == (False, (0, 6))
+
+
 def test_structure_theorem_small_sweep():
     for n in range(2, 7):
         for t in enumerate_trees(n):
@@ -128,6 +147,41 @@ def test_structure_theorem_small_sweep():
 )
 def test_predicted_tree_girth(t, expected):
     assert predicted_tree_girth(t) == expected
+
+
+def test_double_sweep_matches_the_distance_table():
+    for n in range(2, 8):
+        for t in enumerate_trees(n):
+            dd = all_pairs_distances(t.graph)
+            pairs = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if dd.dist[u][v] == dd.diameter
+            ]
+            if dd.diameter % 2 == 0:
+                expected_girth = 3
+            else:
+                expected_girth = 0 if len(pairs) == 1 else 4
+            assert predicted_tree_girth(t) == expected_girth
+            # The vertices on the u-v path, ordered by distance from u.
+            expected_paths = [
+                tuple(sorted(
+                    (w for w in range(n) if dd.dist[u][w] + dd.dist[w][v] == dd.diameter),
+                    key=lambda w: dd.dist[u][w],
+                ))
+                for u, v in pairs
+            ]
+            assert [p.vertices for p in diametrical_paths(t)] == expected_paths
+
+
+def test_prediction_side_never_runs_the_kernel(monkeypatch, reference_tree):
+    def forbidden(g):
+        raise AssertionError("eccentric-sets kernel called")
+
+    monkeypatch.setattr(graphs, "eccentric_sets", forbidden)
+    monkeypatch.setattr(eccentric, "eccentric_sets", forbidden)
+    monkeypatch.setattr(trees, "eccentric_adjacency", forbidden)
+    assert predicted_tree_girth(reference_tree) == 3
+    assert len(diametrical_paths(reference_tree)) == 3
+    assert predicted_tree_girth(Tree(double_star(2, 3))) == 4
 
 
 def test_monotone_exclusion_small_sweep():
