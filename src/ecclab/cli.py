@@ -17,6 +17,7 @@ from .eccentric import eccentric_graph, eccentricity_matrix
 from .errors import EcclabError, InputError
 from .families import FAMILIES, FamilySpec, build_family
 from .intmatrix import determinant
+from .invertibility import check_matrix_side
 from .products import cartesian_product, kronecker_product_graph
 from .serialize import (
     GraphDocument,
@@ -94,6 +95,7 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 def cmd_det(args: argparse.Namespace) -> int:
     doc = load_graph(args.input)
+    check_matrix_side(doc.graph.num_vertices)
     sys.stdout.write(str(determinant(eccentricity_matrix(doc.graph))) + "\n")
     return 0
 

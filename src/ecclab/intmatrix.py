@@ -1,8 +1,10 @@
 """Dense arbitrary-precision integer matrices and exact determinants.
 
 Python ints are unbounded, so everything here is exact by construction; the
-Bareiss routine keeps intermediate values fraction-free. A Leibniz-expansion
-oracle (capped at 9x9) provides the independent verification path.
+Bareiss routine keeps intermediate values fraction-free and skips the rows
+that are zero in the pivot column, which is most rows of a sparse
+eccentricity matrix. A Leibniz-expansion oracle (capped at 9x9) provides
+the independent verification path.
 """
 
 from __future__ import annotations
@@ -70,11 +72,19 @@ def antidiagonal_j(size: int) -> IntMatrix:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant via Bareiss fraction-free elimination."""
+    """Exact determinant via Bareiss fraction-free elimination.
+
+    A row whose entry in the pivot column is zero is not touched: the
+    Bareiss step would only scale it by p_k / p_{k-1} (p_k the pivot of
+    step k), and those factors telescope. ``div[i]`` is the pivot of the
+    step that last updated row i (1 before any), so the row's current
+    Bareiss value is ``a[i][j] * prev // div[i]``, the division exact.
+    """
     if not m.is_square:
         raise InputError("determinant requires a square matrix")
     n = m.rows
     a = [list(row) for row in m.entries]
+    div = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -82,21 +92,30 @@ def determinant(m: IntMatrix) -> int:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
                     a[k], a[r] = a[r], a[k]
+                    div[k], div[r] = div[r], div[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = a[k][k]
+        row_k = a[k]
+        scale = div[k]
+        if scale != prev:
+            for j in range(k, n):
+                row_k[j] = row_k[j] * prev // scale
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
+            aik = row_i[k]
+            if aik == 0:
+                continue
+            scale = div[i]
             for j in range(k + 1, n):
                 # Bareiss identity: the division is exact.
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // scale
             row_i[k] = 0
+            div[i] = pivot
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] * prev // div[n - 1]
 
 
 def determinant_oracle(m: IntMatrix) -> int:

@@ -42,11 +42,15 @@ def predicted_invertible(factor_trees: Sequence[Tree]) -> bool:
     return False
 
 
-def _product_graph(factor_trees: Sequence[Tree]) -> Graph:
-    """The product of the trees, once its side is within MATRIX_SIDE_CAP."""
-    side = math.prod(t.num_vertices for t in factor_trees)
+def check_matrix_side(side: int) -> None:
+    """Raise SizeCapError for an eccentricity matrix wider than MATRIX_SIDE_CAP."""
     if side > MATRIX_SIDE_CAP:
         raise SizeCapError(f"matrix side {side} exceeds the cap of {MATRIX_SIDE_CAP}")
+
+
+def _product_graph(factor_trees: Sequence[Tree]) -> Graph:
+    """The product of the trees, once its side is within MATRIX_SIDE_CAP."""
+    check_matrix_side(math.prod(t.num_vertices for t in factor_trees))
     if len(factor_trees) == 1:
         return factor_trees[0].graph
     g, _ = cartesian_product([t.graph for t in factor_trees])

@@ -23,12 +23,16 @@ ENUMERATION_MAX_VERTICES = 8
 
 @dataclass(frozen=True)
 class Tree:
-    """A connected acyclic graph; validated on construction."""
+    """A connected acyclic graph on at least two vertices; validated on
+    construction. The tree theorems need an eccentric graph, which one
+    vertex does not have."""
 
     graph: Graph
 
     def __post_init__(self) -> None:
         g = self.graph
+        if g.num_vertices < 2:
+            raise InputError("a tree needs at least two vertices")
         if g.num_edges != g.num_vertices - 1 or not is_connected(g):
             raise InputError("not a tree (needs n-1 edges and connectivity)")
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ecclab.graphs import build_graph
@@ -43,3 +45,26 @@ def brute_force_girth(g) -> int:
         if v in dist and (best == 0 or dist[v] + 1 < best):
             best = dist[v] + 1
     return best
+
+
+def fraction_determinant(rows) -> int:
+    """Determinant oracle for matrices beyond Leibniz's 9x9: Gaussian
+    elimination over ``fractions.Fraction``, with no Bareiss step in it."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            if factor:
+                for j in range(k + 1, n):
+                    a[i][j] -= factor * a[k][j]
+    assert det.denominator == 1
+    return int(det)

@@ -118,6 +118,16 @@ def test_det_p5_p2_singular(tmp_path, capsys):
     assert capsys.readouterr().out == "0\n"
 
 
+def test_det_over_matrix_side_cap_exit_2(tmp_path, capsys):
+    # P_4097 is one vertex over the cap; the check comes before the matrix.
+    doc = tmp_path / "p4097.json"
+    doc.write_text(json.dumps(
+        {"num_vertices": 4097, "edges": [[v, v + 1] for v in range(4096)]}
+    ))
+    assert main(["det", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: matrix side 4097 exceeds the cap of 4096\n"
+
+
 def test_product_cartesian(tmp_path, capsys):
     p3 = write_doc(tmp_path, "p3.json", path(3))
     p5 = write_doc(tmp_path, "p5.json", path(5))

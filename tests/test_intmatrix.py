@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from conftest import fraction_determinant
+from ecclab.eccentric import eccentricity_matrix
 from ecclab.errors import InputError, UnsupportedSizeError
+from ecclab.families import double_star, path, star
 from ecclab.intmatrix import (
     IntMatrix,
     antidiagonal_j,
@@ -10,6 +13,8 @@ from ecclab.intmatrix import (
     determinant_oracle,
     kronecker_matrix,
 )
+from ecclab.products import cartesian_product
+from ecclab.trees import random_tree
 
 
 def rand_matrix(rng: random.Random, n: int, bound: int = 9) -> IntMatrix:
@@ -60,6 +65,66 @@ def test_bareiss_agrees_with_oracle_on_randoms():
 def test_bareiss_handles_zero_pivots():
     m = IntMatrix.from_rows([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
     assert determinant(m) == determinant_oracle(m) == -6
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # Row 2 is zero in column 0 and gets no update in step 0; row 1
+        # turns zero in column 1, so step 1 swaps row 2 up as the pivot
+        # row, which must be rescaled by the pivot 2 of step 0; the row
+        # swapped down is then skipped, so the last entry is read with its
+        # scale still deferred.
+        [[2, 4, 0], [1, 2, 1], [0, 3, 5]],
+        # A stale pivot row without a swap.
+        [[2, 1, 0], [0, 3, 1], [1, 1, 4]],
+        # The last row is zero until its diagonal: deferred through every step.
+        [[2, 1, 1], [1, 3, 1], [0, 0, 5]],
+        # A row skipped over two steps with pivots 3 and 5, then updated.
+        [[3, 1, 0, 1], [1, 2, 1, 0], [0, 1, 4, 2], [0, 0, 2, 5]],
+        # Two swaps. The first brings up a stale row and sends down a row
+        # updated by pivot 3, which waits to the end: its scale must travel
+        # with it (the 3x3 swap case above is blind to that).
+        [[3, 2, 0, 0], [3, 2, 0, 3], [0, 2, 2, 0], [1, 0, 0, 2]],
+        # The last row is deferred through three steps.
+        [[3, 1, 2, 0], [1, 4, 0, 1], [2, 0, 5, 1], [0, 0, 0, 7]],
+    ],
+)
+def test_bareiss_skipped_rows(rows):
+    m = IntMatrix.from_rows(rows)
+    assert determinant(m) == determinant_oracle(m) != 0
+
+
+def test_bareiss_matches_fractions_on_sparse_randoms():
+    rng = random.Random(17)
+    for n, density in [(20, 0.05), (20, 0.3), (33, 0.1), (48, 0.05), (64, 0.03), (64, 0.15)]:
+        rows = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        # A nonzero entry in every row and column along a random
+        # permutation: without it most of these would have a zero row, and
+        # the pivots now come from row swaps.
+        perm = rng.sample(range(n), n)
+        for i in range(n):
+            rows[i][perm[i]] = rng.choice([-1, 1]) * rng.randint(1, 9)
+        assert determinant(IntMatrix.from_rows(rows)) == fraction_determinant(rows) != 0
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [star(3), path(2), path(2), path(2)],
+        [star(7), path(2), path(2), path(2)],
+        [star(15), path(2), path(2)],
+        [path(4), path(2), path(2)],
+        [path(6), path(2), path(2)],
+        [double_star(2, 3), path(2), path(2)],
+        [random_tree(9, seed=3).graph, path(2), path(2)],
+        [random_tree(14, seed=8).graph, path(2), path(2)],
+    ],
+)
+def test_bareiss_matches_fractions_on_product_matrices(factors):
+    m = eccentricity_matrix(cartesian_product(factors)[0])
+    assert determinant(m) == fraction_determinant(m.entries)
 
 
 def test_kronecker_block_layout():

@@ -96,6 +96,25 @@ def test_bareiss_matches_leibniz(rows):
     assert determinant(m) == determinant_oracle(m)
 
 
+# About two entries in three are 0: most elimination steps skip rows, yet
+# a fair share of the matrices is nonsingular and reaches the last step.
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.lists(sparse_entries, min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_sparse_bareiss_matches_leibniz(rows):
+    m = IntMatrix.from_rows(rows)
+    assert determinant(m) == determinant_oracle(m)
+
+
 @given(st.lists(st.integers(2, 6), min_size=1, max_size=4))
 def test_index_map_bijection(sizes):
     im = ProductIndexMap(tuple(sizes))

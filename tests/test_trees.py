@@ -33,6 +33,12 @@ def test_tree_validation():
     assert Tree(path(5)).num_vertices == 5
 
 
+def test_one_vertex_is_not_a_tree():
+    # One vertex has no eccentric graph, so no tree theorem applies to it.
+    with pytest.raises(InputError):
+        Tree(build_graph(1, []))
+
+
 def test_prufer_decode_known():
     assert prufer_decode((), 2) == [(0, 1)]
     assert sorted(prufer_decode((0, 0), 4)) == [(0, 1), (0, 2), (0, 3)]
