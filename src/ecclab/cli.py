@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -21,11 +22,10 @@ from .invertibility import check_matrix_side
 from .products import cartesian_product, kronecker_product_graph
 from .serialize import (
     GraphDocument,
-    graph_to_dict,
     graph_to_dot,
+    graph_to_json,
     load_graph,
-    matrix_to_dict,
-    save_graph,
+    matrix_to_json,
 )
 from .suites import SUITE_NAMES, run_suite
 from .trees import ENUMERATION_MAX_VERTICES, random_tree
@@ -41,14 +41,6 @@ def _write_output(text: str, output: Optional[str]) -> None:
             fh.write(text)
 
 
-def _emit_document(doc: GraphDocument, output: Optional[str]) -> None:
-    if output is None:
-        json.dump(graph_to_dict(doc), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        save_graph(doc, output)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "random-tree":
         if len(args.params) != 1:
@@ -60,22 +52,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
         spec = FamilySpec(family=args.family, params=tuple(args.params))
         name = f"{args.family}({', '.join(map(str, args.params))})"
         doc = GraphDocument(graph=build_family(spec), name=name)
-    _emit_document(doc, args.output)
+    _write_output(graph_to_json(doc), args.output)
     return 0
 
 
 def cmd_ecc(args: argparse.Namespace) -> int:
+    if args.matrix and args.format == "dot":
+        raise InputError("--matrix writes JSON only, not --format dot")
     doc = load_graph(args.input)
     if args.matrix:
-        matrix = eccentricity_matrix(doc.graph)
-        _write_output(json.dumps(matrix_to_dict(matrix), indent=2) + "\n", args.output)
+        check_matrix_side(doc.graph.num_vertices)
+        _write_output(matrix_to_json(eccentricity_matrix(doc.graph)), args.output)
         return 0
     eg = eccentric_graph(doc.graph)
     out_doc = GraphDocument(graph=eg, name=doc.name, labels=doc.labels)
-    if args.format == "dot":
-        _write_output(graph_to_dot(out_doc), args.output)
-    else:
-        _emit_document(out_doc, args.output)
+    render = graph_to_dot if args.format == "dot" else graph_to_json
+    _write_output(render(out_doc), args.output)
     return 0
 
 
@@ -89,7 +81,7 @@ def cmd_product(args: argparse.Namespace) -> int:
             raise InputError("kronecker products take exactly two inputs")
         product = kronecker_product_graph(graphs[0], graphs[1])
     name = f"{args.kind} product, row-major factor sizes {[g.num_vertices for g in graphs]}"
-    _emit_document(GraphDocument(graph=product, name=name), args.output)
+    _write_output(graph_to_json(GraphDocument(graph=product, name=name)), args.output)
     return 0
 
 
@@ -132,7 +124,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``main`` reuses it for every call."""
     parser = argparse.ArgumentParser(
         prog="ecclab",
         description="Eccentric graphs, eccentricity matrices, and product structure checks.",

@@ -1,15 +1,18 @@
-"""JSON and DOT serialization for graphs, matrices, and check reports.
+"""JSON and DOT serialization for graphs and matrices.
 
 Graph documents are plain JSON objects with 0-based vertices. Matrix
 entries are written as decimal strings so arbitrary-precision integers
-survive JSON number limits.
+survive JSON number limits. ``graph_to_dict`` and ``matrix_to_dict`` define
+the fields and their order; ``graph_to_json`` and ``matrix_to_json`` write
+those dicts as ``json.dumps(..., indent=2)`` would, with ``str.join`` in
+place of json's pure-Python indent encoder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NoReturn, Optional
 
 from .errors import InputError
 from .graphs import Graph, build_graph
@@ -39,25 +42,69 @@ def graph_to_dict(doc: GraphDocument) -> dict:
     return out
 
 
+def _non_integer_edge(u: object, v: object) -> NoReturn:
+    raise TypeError(f"edge {[u, v]} has an endpoint that is not an integer")
+
+
 def graph_from_dict(data: dict) -> GraphDocument:
+    """Read a graph document. ``num_vertices`` and the endpoints must be JSON
+    integers (``type(x) is int`` rules out bools), ``name`` a string and
+    ``labels`` a list of strings."""
     try:
-        n = int(data["num_vertices"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        n = data["num_vertices"]
+        if type(n) is not int:
+            raise TypeError(f"num_vertices {n!r} is not an integer")
+        edges = [
+            (u, v) if type(u) is int and type(v) is int else _non_integer_edge(u, v)
+            for u, v in data["edges"]
+        ]
+        name = data.get("name")
+        if name is not None and not isinstance(name, str):
+            raise TypeError(f"name {name!r} is not a string")
+        labels = data.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise TypeError("labels must be a list of strings")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
-    name = data.get("name")
-    labels = data.get("labels")
     return GraphDocument(
         graph=build_graph(n, edges),
         name=name,
-        labels=tuple(str(x) for x in labels) if labels is not None else None,
+        labels=tuple(labels) if labels is not None else None,
     )
+
+
+def _indented_json(data: dict, item_encoders: dict[str, Callable[..., str]]) -> str:
+    """``json.dumps(data, indent=2) + "\\n"`` for an object whose lists are
+    the fields named in ``item_encoders``; every other field is a scalar.
+    Each list item is encoded by its field's function, with any inner lines
+    indented as the items of a top-level list."""
+    fields = []
+    for key, value in data.items():
+        encode = item_encoders.get(key)
+        if encode is None:
+            text = json.dumps(value)
+        elif value:
+            text = "[\n    " + ",\n    ".join(map(encode, value)) + "\n  ]"
+        else:
+            text = "[]"
+        fields.append(f'"{key}": {text}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+
+
+def _edge_text(edge: list[int]) -> str:
+    return f"[\n      {edge[0]},\n      {edge[1]}\n    ]"
+
+
+def graph_to_json(doc: GraphDocument) -> str:
+    """``json.dumps(graph_to_dict(doc), indent=2) + "\\n"``."""
+    return _indented_json(graph_to_dict(doc), {"edges": _edge_text, "labels": json.dumps})
 
 
 def save_graph(doc: GraphDocument, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(graph_to_dict(doc), fh, indent=2)
-        fh.write("\n")
+        fh.write(graph_to_json(doc))
 
 
 def load_graph(path: str) -> GraphDocument:
@@ -87,5 +134,18 @@ def matrix_to_dict(m: IntMatrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[str(x) for x in row] for row in m.entries],
+        "entries": [list(map(str, row)) for row in m.entries],
     }
+
+
+_ENTRY_SEPARATOR = '",\n      "'
+
+
+def _row_text(row: list[str]) -> str:
+    # Entries are decimal strings, which need no escaping.
+    return f'[\n      "{_ENTRY_SEPARATOR.join(row)}"\n    ]'
+
+
+def matrix_to_json(m: IntMatrix) -> str:
+    """``json.dumps(matrix_to_dict(m), indent=2) + "\\n"``."""
+    return _indented_json(matrix_to_dict(m), {"entries": _row_text})

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ecclab.cli import main
+from ecclab.cli import build_parser, main
 from ecclab.families import path, star
 from ecclab.serialize import GraphDocument, load_graph, save_graph
 
@@ -126,6 +126,72 @@ def test_det_over_matrix_side_cap_exit_2(tmp_path, capsys):
     ))
     assert main(["det", str(doc)]) == 2
     assert capsys.readouterr().err == "error: matrix side 4097 exceeds the cap of 4096\n"
+
+
+def test_ecc_matrix_over_matrix_side_cap_exit_2(tmp_path, capsys):
+    doc = tmp_path / "p4097.json"
+    doc.write_text(json.dumps(
+        {"num_vertices": 4097, "edges": [[v, v + 1] for v in range(4096)]}
+    ))
+    assert main(["ecc", str(doc), "--matrix"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix side 4097 exceeds the cap of 4096\n"
+
+
+def test_ecc_matrix_rejects_dot_format_exit_2(tmp_path, capsys):
+    p4 = write_doc(tmp_path, "p4.json", path(4))
+    assert main(["ecc", p4, "--matrix", "--format", "dot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["gen", "ecc", "ecc-matrix", "product"])
+def test_stdout_and_file_match_the_indent_encoder(tmp_path, capsys, command):
+    src = tmp_path / "p4.json"
+    src.write_text(json.dumps({
+        "num_vertices": 4,
+        "edges": [[0, 1], [1, 2], [2, 3]],
+        "name": 'P4 "quoted" \\ caf\u00e9',
+        "labels": ["a", "", "\u00fc", '"'],
+    }))
+    argv = {
+        "gen": ["gen", "grid", "3", "4"],
+        "ecc": ["ecc", str(src)],
+        "ecc-matrix": ["ecc", str(src), "--matrix"],
+        "product": ["product", str(src), str(src)],
+    }[command]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    target = tmp_path / "out.json"
+    assert main(argv + ["-o", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    p4 = write_doc(tmp_path, "p4.json", path(4))
+    with pytest.raises(SystemExit):
+        main(["ecc", p4, "--format", "svg"])
+    capsys.readouterr()
+    # After an argparse exit, and with no option carried over from an
+    # earlier call.
+    assert main(["ecc", p4, "--format", "dot"]) == 0
+    assert capsys.readouterr().out.startswith("graph {")
+    assert main(["ecc", p4, "--matrix"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"][0] == ["0", "0", "2", "3"]
+    assert main(["ecc", p4]) == 0
+    assert json.loads(capsys.readouterr().out)["edges"] == [[0, 2], [0, 3], [1, 3]]
+    # After an ecclab error, and across subcommands.
+    assert main(["gen", "cycle", "2"]) == 2
+    capsys.readouterr()
+    assert main(["det", p4]) == 0
+    assert capsys.readouterr().out == "16\n"
+    assert main(["gen", "path", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "path(3)"
 
 
 def test_product_cartesian(tmp_path, capsys):

@@ -1,17 +1,51 @@
+import json
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ecclab.errors import InputError
 from ecclab.families import cycle, path
+from ecclab.graphs import build_graph
 from ecclab.intmatrix import IntMatrix
 from ecclab.serialize import (
     GraphDocument,
     graph_from_dict,
     graph_to_dict,
     graph_to_dot,
+    graph_to_json,
     load_graph,
     matrix_to_dict,
+    matrix_to_json,
     save_graph,
 )
+
+# Quotes, backslashes, control characters, non-ASCII and astral characters,
+# and the empty string.
+AWKWARD_TEXT = st.text() | st.sampled_from(['', '"', "\\", 'a"b\\c', "\n\t", "é", "\U0001f600"])
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    name = draw(st.none() | AWKWARD_TEXT)
+    labels = draw(st.none() | st.lists(AWKWARD_TEXT, min_size=n, max_size=n))
+    return GraphDocument(
+        graph=build_graph(n, edges),
+        name=name,
+        labels=None if labels is None else tuple(labels),
+    )
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.integers() | st.sampled_from([10**40, -(10**40)])
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return IntMatrix(rows=rows, cols=cols, entries=tuple(map(tuple, grid)))
 
 
 def test_json_roundtrip(tmp_path):
@@ -29,6 +63,32 @@ def test_dict_roundtrip_without_optionals():
     assert graph_from_dict(data) == doc
 
 
+@settings(max_examples=300)
+@given(documents())
+def test_graph_to_json_matches_the_indent_encoder(doc):
+    text = graph_to_json(doc)
+    assert text == json.dumps(graph_to_dict(doc), indent=2) + "\n"
+    assert graph_from_dict(json.loads(text)) == doc
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_matrix_to_json_matches_the_indent_encoder(m):
+    assert matrix_to_json(m) == json.dumps(matrix_to_dict(m), indent=2) + "\n"
+
+
+def test_json_writers_on_edge_cases():
+    single = GraphDocument(graph=build_graph(1, []), name='q"\\é', labels=("",))
+    assert graph_to_json(single) == (
+        '{\n  "num_vertices": 1,\n  "edges": [],\n'
+        '  "name": "q\\"\\\\\\u00e9",\n  "labels": [\n    ""\n  ]\n}\n'
+    )
+    assert matrix_to_json(IntMatrix.from_rows([[0, -(10**40)]])) == (
+        '{\n  "rows": 1,\n  "cols": 2,\n  "entries": [\n    [\n'
+        '      "0",\n      "-1' + "0" * 40 + '"\n    ]\n  ]\n}\n'
+    )
+
+
 def test_malformed_documents():
     with pytest.raises(InputError):
         graph_from_dict({"edges": [[0, 1]]})
@@ -36,6 +96,27 @@ def test_malformed_documents():
         graph_from_dict({"num_vertices": 2, "edges": [[0, 2]]})
     with pytest.raises(InputError):
         GraphDocument(graph=path(3), labels=("only-one",))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"num_vertices": 3, "edges": [[0, 1], [1, 2]], "labels": "abc"},
+        {"num_vertices": 3, "edges": [[0, 1], [1, 2]], "labels": [1, 2, 3]},
+        {"num_vertices": 3.9, "edges": [[0, 1], [1, 2]]},
+        {"num_vertices": "3", "edges": [[0, 1], [1, 2]]},
+        {"num_vertices": True, "edges": []},
+        {"num_vertices": 3, "edges": [[0, 1], [1, 2]], "name": 7},
+        {"num_vertices": 3, "edges": [[0, 1.0], [1, 2]]},
+        {"num_vertices": 3, "edges": [[0, 1], ["1", 2]]},
+        {"num_vertices": 3, "edges": [[0, 1], [True, 2]]},
+    ],
+    ids=["labels-string", "labels-ints", "num-vertices-float", "num-vertices-string",
+         "num-vertices-bool", "name-int", "endpoint-float", "endpoint-string", "endpoint-bool"],
+)
+def test_graph_from_dict_rejects_non_json_types(data):
+    with pytest.raises(InputError, match="^malformed graph document: "):
+        graph_from_dict(data)
 
 
 def test_load_rejects_non_json(tmp_path):
