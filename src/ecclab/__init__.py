@@ -6,7 +6,6 @@ from .eccentric import (
     eccentric_graph,
     eccentricity_matrix,
     eccentricity_profile,
-    is_eccentric,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -76,7 +75,6 @@ from .trees import (
     prufer_decode,
     random_tree,
     stem_at,
-    tree_path,
 )
 
 __version__ = "0.1.0"

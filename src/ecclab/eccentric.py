@@ -10,6 +10,7 @@ the tests cross-check it against BFS and Floyd-Warshall distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import InputError
 from .graphs import Graph, bitset_girth, eccentric_sets, members
@@ -31,17 +32,18 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
     return EccentricityProfile(ecc=ecc, far=far)
 
 
-def is_eccentric(p: EccentricityProfile, u: int, v: int) -> bool:
-    """True iff u is eccentric to v, i.e. d(u,v) = e(v)."""
-    return p.far[v] >> u & 1 == 1
-
-
-def eccentric_adjacency(g: Graph) -> tuple[tuple[int, ...], list[int]]:
+def eccentric_adjacency(
+    g: Graph, keep: Optional[int] = None
+) -> tuple[tuple[int, ...], list[int]]:
     """Eccentricities of g and, per vertex, the bitset of its neighbours in
-    E(g): u ~ v iff u is eccentric to v or v to u."""
-    if g.num_vertices < 2:
+    E(g): u ~ v iff u is eccentric to v or v to u.
+
+    With the vertex bitset ``keep`` this is E(g[keep]), the eccentric graph
+    of the subgraph that ``keep`` induces, in g's labels: a vertex outside
+    ``keep`` has eccentricity 0 and no neighbours."""
+    if (g.num_vertices if keep is None else keep.bit_count()) < 2:
         raise InputError("eccentric graph requires at least two vertices")
-    ecc, far = eccentric_sets(g)
+    ecc, far = eccentric_sets(g) if keep is None else eccentric_sets(g, keep)
     # v in far[u] means d(u,v) = e(u) <= e(v), and when e(u) = e(v) u is in
     # far[v] already; so only the v of larger eccentricity need u's bit.
     by_ecc = [0] * (max(ecc) + 2)

@@ -8,12 +8,14 @@ used as a bitset: bit v stands for vertex v.
 Eccentricities and eccentric sets come from one kernel, ``eccentric_sets``,
 which grows every vertex's ball over bitsets instead of tabulating all n²
 distances (the bit-parallel BFS idea of Akiba, Iwata and Yoshida, SIGMOD
-2013). ``all_pairs_distances`` keeps the per-source BFS table for the few
-callers that need distances themselves, and serves as the tests' oracle;
-``bfs_distances`` gives one row of it. Girth has one algorithm,
-``bitset_girth``: a layered BFS over neighbour bitsets, which ``girth``
-runs on a ``Graph`` and the eccentric-graph code runs on E(G)'s bitsets
-directly.
+2013). The kernel also runs on the subgraph that a vertex bitset induces,
+on the parent graph's own adjacency and in its labels, so a subtree needs
+no relabelled copy of itself. ``all_pairs_distances`` keeps the per-source
+BFS table for the few callers that need distances themselves, and serves as
+the tests' oracle; ``bfs_distances`` gives one row of it. Girth has one
+algorithm, ``bitset_girth``: a layered BFS over neighbour bitsets, which
+``girth`` runs on a ``Graph`` and the eccentric-graph code runs on E(G)'s
+bitsets directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DisconnectedGraphError, InputError
 
@@ -142,8 +144,11 @@ def all_pairs_distances(g: Graph) -> DistanceData:
     )
 
 
-def eccentric_sets(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Eccentricities and eccentric sets of a connected graph.
+def eccentric_sets(
+    g: Graph, keep: Optional[int] = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Eccentricities and eccentric sets of a connected graph, or of the
+    subgraph that the vertex bitset ``keep`` induces in it.
 
     Grows every ball at once, ``B_k(v) = B_{k-1}(v) | OR_{w~v} B_{k-1}(w)``
     from ``B_0(v) = {v}``. ``ecc[v]`` is the first k at which ``B_k(v)``
@@ -151,14 +156,27 @@ def eccentric_sets(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     of the vertices eccentric to v (at distance e(v) from it). On one vertex
     ``ecc == (0,)`` and the vertex is eccentric to itself. A ball that stops
     growing before it is full raises ``DisconnectedGraphError``.
+
+    With ``keep`` the same loop runs on g's adjacency, and every vertex
+    outside ``keep`` starts, and stays, with an empty ball; so no ball grows
+    through it, and ``full`` is ``keep``. The answer is in g's labels: a
+    vertex outside ``keep`` gets ``ecc`` 0 and ``far`` 0.
     """
     adjacency = g.adjacency
     n = g.num_vertices
-    full = (1 << n) - 1
-    ball = [1 << v for v in range(n)]
+    if keep is None:
+        full = (1 << n) - 1
+        ball = [1 << v for v in range(n)]
+        far = [full] * n
+        pending = [v for v in range(n) if ball[v] != full]
+    else:
+        if keep <= 0 or keep >> n:
+            raise InputError("keep must be a non-empty bitset of the graph's vertices")
+        full = keep
+        ball = [keep & 1 << v for v in range(n)]
+        far = [full if b else 0 for b in ball]
+        pending = members(keep) if keep & (keep - 1) else []
     ecc = [0] * n
-    far = [full] * n
-    pending = [v for v in range(n) if ball[v] != full]
     k = 0
     while pending:
         k += 1

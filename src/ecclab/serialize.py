@@ -119,10 +119,13 @@ def load_graph(path: str) -> GraphDocument:
 
 
 def graph_to_dot(doc: GraphDocument) -> str:
-    """Undirected DOT; vertex ids are used as labels unless labels are set."""
+    """Undirected DOT; vertex ids are used as labels unless labels are set.
+    A label's backslashes and double quotes are escaped, so that neither
+    can end its quoted string early."""
     lines = ["graph {"]
     for v in range(doc.graph.num_vertices):
         label = doc.labels[v] if doc.labels is not None else str(v)
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{label}"];')
     for u, v in doc.graph.edges:
         lines.append(f"  {u} -- {v};")

@@ -1,9 +1,10 @@
 """Trees: generation, enumeration, stems, diametrical paths, decomposition.
 
 Labeled trees are generated and enumerated through Prüfer sequences. The
-decomposition machinery (stems, induced subtrees) supports the structure
-theorem check: the eccentric graph of a tree is the union of the eccentric
-graphs of the subtrees induced by its diametrical paths.
+structure theorem says that the eccentric graph of a tree is the union of
+the eccentric graphs of the subtrees induced by its diametrical paths. Its
+check takes each subtree as a vertex mask built from stems; ``decompose``
+gives the same subtrees as relabelled trees of their own.
 """
 
 from __future__ import annotations
@@ -152,12 +153,6 @@ def _path_from_source(
     return tuple(path)
 
 
-def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
-    """The unique path between two vertices of a tree."""
-    adjacency = t.graph.adjacency
-    return _path_from_source(adjacency, bfs_distances(adjacency, u), v)
-
-
 def _double_sweep(t: Tree) -> tuple[int, list[int], int, list[int], int]:
     """``(a, row_a, b, row_b, d)``: BFS from vertex 0 finds a vertex a of
     largest distance, which in a tree is an end of a diametrical path; BFS
@@ -172,9 +167,10 @@ def _double_sweep(t: Tree) -> tuple[int, list[int], int, list[int], int]:
     return a, row_a, b, bfs_distances(adjacency, b), d
 
 
-def diametrical_paths(t: Tree) -> list[DiametricalPath]:
-    """All diameter-realizing paths, one per unordered endpoint pair (u, v),
-    u < v, in ascending order of u, then v.
+def _diametral_pairs(t: Tree) -> tuple[list[int], list[tuple[int, int, list[int]]]]:
+    """The ends of the diametrical paths, ascending, and one ``(u, v, row)``
+    per unordered pair of ends at distance d, u < v, in ascending order of
+    u, then v, where ``row`` is u's BFS row.
 
     Built from BFS distances, like ``predicted_tree_girth``: the
     construction side of the tree theorems stays off the kernel that
@@ -185,15 +181,21 @@ def diametrical_paths(t: Tree) -> list[DiametricalPath]:
     adjacency = t.graph.adjacency
     ends = [v for v in range(t.num_vertices) if row_a[v] == d or row_b[v] == d]
     rows = {a: row_a, b: row_b}
-    paths = []
+    pairs = []
     for i, u in enumerate(ends[:-1]):
         row = rows.get(u) or bfs_distances(adjacency, u)
-        paths.extend(
-            DiametricalPath(_path_from_source(adjacency, row, v))
-            for v in ends[i + 1:]
-            if row[v] == d
-        )
-    return paths
+        pairs.extend((u, v, row) for v in ends[i + 1:] if row[v] == d)
+    return ends, pairs
+
+
+def diametrical_paths(t: Tree) -> list[DiametricalPath]:
+    """All diameter-realizing paths, one per unordered endpoint pair (u, v),
+    u < v, in ascending order of u, then v."""
+    adjacency = t.graph.adjacency
+    return [
+        DiametricalPath(_path_from_source(adjacency, row, v))
+        for _, v, row in _diametral_pairs(t)[1]
+    ]
 
 
 def induced_subtree(t: Tree, p: DiametricalPath) -> InducedSubtree:
@@ -237,27 +239,30 @@ def decompose(t: Tree) -> TreeDecomposition:
 
 
 def check_structure_theorem(t: Tree) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Union of the induced subtrees' eccentric graphs (lifted back to the
-    original labels) versus the tree's eccentric graph, compared as
-    neighbour bitsets. Returns the equality flag and, on a mismatch, the
-    least mismatching edge (u, v) with u < v.
+    """Union of the eccentric graphs of the subtrees that the diametrical
+    paths induce versus the tree's eccentric graph, compared as neighbour
+    bitsets in the tree's labels. Returns the equality flag and, on a
+    mismatch, the least mismatching edge (u, v) with u < v.
 
-    An induced subtree that keeps every vertex is the tree itself, with
-    identity labels, so its eccentric graph is the tree's."""
+    Each subtree is a vertex mask on the tree: the subtree of the path
+    between the ends u and v drops the stems of every other end, so it
+    keeps ``core | stem[u] | stem[v]``, where ``core`` is what no end's
+    stem covers (stems of distinct leaves are disjoint unless the tree is
+    a path). The kernel runs once per diametral pair on that mask. With a
+    single pair there is no other end, the subtree is the tree, and the
+    check holds without running the kernel."""
+    ends, pairs = _diametral_pairs(t)
+    if len(pairs) == 1:
+        return True, None
     n = t.num_vertices
-    _, expected = eccentric_adjacency(t.graph)
+    stem = {z: sum(1 << v for v in stem_at(t, z)[:-1]) for z in ends}
+    core = ((1 << n) - 1) ^ sum(stem.values())
+    g = t.graph
+    _, expected = eccentric_adjacency(g)
     union = [0] * n
-    for sub in decompose(t).induced_subtrees:
-        labels = sub.vertices
-        if len(labels) == n:
-            union = [x | y for x, y in zip(union, expected)]
-            continue
-        _, sub_nbrs = eccentric_adjacency(sub.tree.graph)
-        for a, mask in enumerate(sub_nbrs):
-            lifted = 0
-            for b in members(mask):
-                lifted |= 1 << labels[b]
-            union[labels[a]] |= lifted
+    for u, v, _ in pairs:
+        _, nbrs = eccentric_adjacency(g, core | stem[u] | stem[v])
+        union = [x | y for x, y in zip(union, nbrs)]
     if union == expected:
         return True, None
     return False, min(

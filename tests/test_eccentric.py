@@ -8,7 +8,6 @@ from ecclab.eccentric import (
     eccentric_graph,
     eccentricity_matrix,
     eccentricity_profile,
-    is_eccentric,
 )
 from ecclab.errors import DisconnectedGraphError, InputError
 from ecclab.families import complete, cycle, path, star
@@ -79,15 +78,6 @@ def test_min_formulation_matches_direction_oracle_on_families():
         assert set(eccentric_graph(g).edges) == oracle_eccentric_graph(g)
 
 
-def test_is_eccentric_on_p4():
-    p = eccentricity_profile(path(4))
-    assert is_eccentric(p, 3, 1)  # d(3,1) = 2 = e(1)
-    assert not is_eccentric(p, 1, 3)  # d(1,3) = 2 < e(3) = 3
-    assert is_eccentric(p, 0, 3)
-    assert [u for u in range(4) if is_eccentric(p, u, 1)] == [3]
-    assert [u for u in range(4) if is_eccentric(p, u, 0)] == [3]
-
-
 def test_eccentricity_matrix_p2_and_p4():
     assert eccentricity_matrix(path(2)).entries == ((0, 1), (1, 0))
     assert eccentricity_matrix(path(4)).entries == (
@@ -121,6 +111,10 @@ def test_domain_errors():
         eccentric_graph(build_graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(DisconnectedGraphError):
         eccentricity_matrix(build_graph(4, [(0, 1), (2, 3)]))
+    # A mask of one vertex induces a graph with no eccentric graph either.
+    with pytest.raises(InputError):
+        eccentric.eccentric_adjacency(path(3), 0b010)
+    assert eccentric.eccentric_adjacency(path(3), 0b011) == ((1, 1, 0), [0b10, 0b01, 0])
 
 
 def oracle_corpus() -> list[Graph]:
@@ -145,22 +139,11 @@ def test_eccentricity_matrix_matches_bfs_definition():
         assert eccentricity_matrix(g).entries == expected
 
 
-def test_is_eccentric_matches_bfs_on_every_pair():
-    for g in oracle_corpus():
-        dd = all_pairs_distances(g)
-        p = eccentricity_profile(g)
-        assert p.ecc == dd.ecc
-        n = g.num_vertices
-        for u in range(n):
-            for v in range(n):
-                assert is_eccentric(p, u, v) == (dd.dist[v][u] == dd.ecc[v])
-
-
 def test_single_vertex():
     g = build_graph(1, [])
     p = eccentricity_profile(g)
     assert p.ecc == (0,)
-    assert is_eccentric(p, 0, 0)
+    assert p.far == (0b1,)  # the vertex is at distance e = 0 from itself
     with pytest.raises(InputError):
         eccentricity_matrix(g)
 
@@ -170,9 +153,7 @@ def test_two_vertices():
     assert eccentric_graph(g) == g
     p = eccentricity_profile(g)
     assert p.ecc == (1, 1)
-    assert [is_eccentric(p, u, v) for u in range(2) for v in range(2)] == [
-        False, True, True, False,
-    ]
+    assert p.far == (0b10, 0b01)
 
 
 @pytest.mark.parametrize("f", [eccentric_graph, eccentricity_matrix, eccentricity_profile])

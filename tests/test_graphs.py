@@ -95,6 +95,21 @@ def test_eccentric_sets_requires_connected(g):
         eccentric_sets(g)
 
 
+def test_masked_eccentric_sets_on_p5():
+    # {1, 2, 3} induces P3 inside P5; vertices 0 and 4 are left out.
+    assert eccentric_sets(path(5), 0b01110) == ((0, 2, 1, 2, 0), (0, 0b1000, 0b1010, 0b10, 0))
+    assert eccentric_sets(path(5), 0b00100) == ((0, 0, 0, 0, 0), (0, 0, 0b100, 0, 0))
+    assert eccentric_sets(path(5), 0b11111) == eccentric_sets(path(5))
+
+
+def test_masked_eccentric_sets_reject_bad_masks():
+    with pytest.raises(DisconnectedGraphError):
+        eccentric_sets(path(5), 0b10001)
+    for keep in (0, -1, 1 << 5, 0b100001):
+        with pytest.raises(InputError):
+            eccentric_sets(path(5), keep)
+
+
 @pytest.mark.parametrize(
     "factors",
     [

@@ -1,18 +1,21 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from conftest import brute_force_girth
 from ecclab.eccentric import eccentric_graph
+from ecclab.errors import DisconnectedGraphError
 from ecclab.graphs import (
     all_pairs_distances,
     build_graph,
     connected_components,
     eccentric_sets,
     girth,
+    is_connected,
     members,
 )
 from ecclab.intmatrix import IntMatrix, determinant, determinant_oracle
-from ecclab.products import ProductIndexMap
+from ecclab.products import ProductIndexMap, cartesian_product
 from ecclab.trees import prufer_decode, random_tree
 
 
@@ -65,6 +68,68 @@ def test_eccentric_graph_edges_attain_min_eccentricity(g):
     dd = all_pairs_distances(g)
     for u, v in eccentric_graph(g).edges:
         assert dd.dist[u][v] == min(dd.ecc[u], dd.ecc[v])
+
+
+@st.composite
+def trees_and_products(draw):
+    if draw(st.booleans()):
+        return random_tree(draw(st.integers(2, 16)), seed=draw(st.integers(0, 2**20))).graph
+    factors = [draw(graphs(max_vertices=5, connected=True)) for _ in range(2)]
+    return cartesian_product(factors)[0]
+
+
+@st.composite
+def connected_masks(draw):
+    """A graph and a vertex bitset grown one neighbour at a time, so that
+    it induces a connected subgraph."""
+    g = draw(trees_and_products())
+    size = draw(st.integers(1, g.num_vertices))
+    mask = 1 << draw(st.integers(0, g.num_vertices - 1))
+    while mask.bit_count() < size:
+        reach = 0
+        for v in members(mask):
+            reach |= g.neighbour_bitsets[v]
+        mask |= 1 << draw(st.sampled_from(members(reach & ~mask)))
+    return g, mask
+
+
+def induced_relabelled(g, mask):
+    """The subgraph that ``mask`` induces, relabelled onto 0..k-1, and the
+    original label of each of its vertices."""
+    labels = members(mask)
+    index = {v: i for i, v in enumerate(labels)}
+    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    return build_graph(len(labels), edges), labels
+
+
+def relabelled_eccentric_sets(g, mask):
+    """Unmasked ``eccentric_sets`` of the relabelled induced subgraph,
+    lifted back to g's labels bit by bit."""
+    sub, labels = induced_relabelled(g, mask)
+    sub_ecc, sub_far = eccentric_sets(sub)
+    ecc = [0] * g.num_vertices
+    far = [0] * g.num_vertices
+    for i, v in enumerate(labels):
+        ecc[v] = sub_ecc[i]
+        far[v] = sum(1 << labels[j] for j in members(sub_far[i]))
+    return tuple(ecc), tuple(far)
+
+
+@settings(max_examples=200)
+@given(connected_masks())
+def test_masked_eccentric_sets_match_the_relabelled_subgraph(case):
+    g, mask = case
+    assert eccentric_sets(g, mask) == relabelled_eccentric_sets(g, mask)
+
+
+@given(trees_and_products(), st.data())
+def test_masked_eccentric_sets_raise_iff_the_mask_is_disconnected(g, data):
+    mask = data.draw(st.integers(1, (1 << g.num_vertices) - 1))
+    if is_connected(induced_relabelled(g, mask)[0]):
+        assert eccentric_sets(g, mask) == relabelled_eccentric_sets(g, mask)
+    else:
+        with pytest.raises(DisconnectedGraphError):
+            eccentric_sets(g, mask)
 
 
 @given(st.integers(2, 12), st.data())

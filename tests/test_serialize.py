@@ -144,6 +144,12 @@ def test_dot_output():
     assert '0 [label="x"];' in labeled
 
 
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    dot = graph_to_dot(GraphDocument(graph=path(2), labels=('a"b', "c\\")))
+    assert '  0 [label="a\\"b"];\n' in dot
+    assert '  1 [label="c\\\\"];\n' in dot
+
+
 def test_matrix_roundtrip_with_big_integers():
     big = 10**40
     m = IntMatrix.from_rows([[0, big], [-big, 1]])

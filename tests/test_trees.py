@@ -2,10 +2,10 @@ import pytest
 
 from conftest import REFERENCE_ECCENTRIC_EDGES
 from ecclab import eccentric, graphs, trees
-from ecclab.eccentric import eccentric_graph
+from ecclab.eccentric import eccentric_adjacency, eccentric_graph
 from ecclab.errors import InputError, NoStemError, UnsupportedSizeError
 from ecclab.families import cycle, double_star, path, star
-from ecclab.graphs import all_pairs_distances, build_graph
+from ecclab.graphs import all_pairs_distances, build_graph, members
 from ecclab.trees import (
     Tree,
     check_monotone_exclusion,
@@ -21,7 +21,6 @@ from ecclab.trees import (
     prufer_decode,
     random_tree,
     stem_at,
-    tree_path,
 )
 
 
@@ -78,11 +77,6 @@ def test_stems(reference_tree):
         stem_at(Tree(path(5)), 0)
 
 
-def test_tree_path(reference_tree):
-    assert tree_path(reference_tree, 8, 10) == (8, 7, 2, 3, 9, 10)
-    assert tree_path(reference_tree, 4, 4) == (4,)
-
-
 def test_reference_tree_diametrical_paths(reference_tree):
     paths = diametrical_paths(reference_tree)
     assert sorted(p.endpoints for p in paths) == [(0, 6), (6, 8), (6, 11)]
@@ -118,14 +112,14 @@ def test_structure_theorem_on_reference_tree(reference_tree):
 
 
 def test_structure_witness_is_the_least_mismatching_edge(monkeypatch, reference_tree):
-    # Corrupt E of the subtree induced by the path 0..6, the only one on 10
-    # vertices, whose compact labels 0..7 are the original ones: drop its
-    # edge (0, 6) and add the non-edges (5, 7) and (1, 2).
+    # Corrupt E of the subtree induced by the path 0..6, the only mask of
+    # 10 vertices: drop its edge (0, 6) and add the non-edges (5, 7) and
+    # (1, 2).
     real = trees.eccentric_adjacency
 
-    def corrupted(g):
-        ecc, nbrs = real(g)
-        if g.num_vertices == 10:
+    def corrupted(g, keep=None):
+        ecc, nbrs = real(g, keep)
+        if keep is not None and keep.bit_count() == 10:
             nbrs = list(nbrs)
             for u, v in ((0, 6), (5, 7), (1, 2)):
                 nbrs[u] ^= 1 << v
@@ -140,6 +134,77 @@ def test_structure_theorem_small_sweep():
     for n in range(2, 7):
         for t in enumerate_trees(n):
             assert check_structure_theorem(t)[0]
+
+
+def relabelled_structure_check(t, subtrees):
+    """The structure check on relabelled subtrees: the kernel on each
+    ``sub.tree.graph`` of ``decompose(t)``, and a bit-by-bit lift to t's
+    labels."""
+    n = t.num_vertices
+    _, expected = eccentric_adjacency(t.graph)
+    union = [0] * n
+    for sub in subtrees:
+        labels = sub.vertices
+        _, sub_nbrs = eccentric_adjacency(sub.tree.graph)
+        for a, mask in enumerate(sub_nbrs):
+            for b in members(mask):
+                union[labels[a]] |= 1 << labels[b]
+    if union == expected:
+        return True, None
+    return False, min(
+        (u, v) if u < v else (v, u) for u in range(n) for v in members(union[u] ^ expected[u])
+    )
+
+
+def oracle_corpus():
+    for n in range(2, 8):
+        yield from enumerate_trees(n)
+    for seed in range(2000):
+        yield random_tree(9 + seed % 72, seed=seed)
+
+
+def test_structure_check_matches_the_relabelled_subtrees(monkeypatch):
+    # Every labelled tree with n <= 7, then 2,000 random trees with 9..80
+    # vertices: the masks the check runs the kernel on are the vertex sets
+    # of decompose's subtrees, and the verdicts agree.
+    masks = []
+    real = trees.eccentric_adjacency
+
+    def recorded(g, keep=None):
+        if keep is not None:
+            masks.append(keep)
+        return real(g, keep)
+
+    monkeypatch.setattr(trees, "eccentric_adjacency", recorded)
+    for t in oracle_corpus():
+        masks.clear()
+        subtrees = decompose(t).induced_subtrees
+        assert check_structure_theorem(t) == relabelled_structure_check(t, subtrees)
+        expected = [] if len(subtrees) == 1 else [sum(1 << v for v in s.vertices) for s in subtrees]
+        assert masks == expected
+
+
+def test_structure_check_runs_the_kernel_once_per_diametral_pair(monkeypatch, reference_tree):
+    runs = []
+    real = eccentric.eccentric_sets
+
+    def counted(g, *keep):
+        runs.append(keep)
+        return real(g, *keep)
+
+    monkeypatch.setattr(eccentric, "eccentric_sets", counted)
+    corpus = [reference_tree, Tree(path(2)), Tree(path(9)), Tree(double_star(2, 3))]
+    corpus += [random_tree(n, seed=n) for n in range(3, 40)]
+    for t in corpus:
+        pairs = len(diametrical_paths(t))
+        runs.clear()
+        assert check_structure_theorem(t) == (True, None)
+        if pairs == 1:
+            assert runs == []  # the subtree is the tree itself: nothing to run
+        else:
+            # One run on the whole tree, then one masked run per pair.
+            assert runs[0] == () and len(runs) == 1 + pairs
+            assert all(len(keep) == 1 for keep in runs[1:])
 
 
 @pytest.mark.parametrize(
