@@ -31,7 +31,6 @@ from .graphs import (
 )
 from .intmatrix import (
     IntMatrix,
-    antidiagonal_j,
     determinant,
     determinant_oracle,
     kronecker_matrix,
@@ -52,10 +51,8 @@ from .products import (
     check_kronecker_correspondence,
     cn_cn_isomorphism,
     cycle_product_structure,
-    four_cycle_witness,
     grid_eccentric_closed_form,
     kronecker_product_graph,
-    predicted_product_girth_general,
     predicted_tree_product_girth,
 )
 from .serialize import GraphDocument, graph_to_dot, load_graph, save_graph

@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -92,23 +91,13 @@ def cmd_det(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    value = os.environ.get("ECCLAB_JOBS", "1")
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(f"ECCLAB_JOBS must be an integer, got {value!r}") from None
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     report = run_suite(
         args.suite,
         trees_max_n=args.trees_max_n,
         samples=args.samples,
         seed=args.seed,
-        jobs=_jobs(args),
+        jobs=args.jobs,
     )
     status = "PASS" if report.passed else "FAIL"
     seed = "" if report.seed is None else f" (seed {report.seed})"
@@ -166,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--samples", type=int, default=None)
     p_check.add_argument("--seed", type=int, help="corpus seed of a seeded suite (default 0)")
-    p_check.add_argument("--jobs", type=int, help="worker processes (default: ECCLAB_JOBS or 1)")
+    p_check.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p_check.add_argument("--report", help="path for the JSON report")
     p_check.set_defaults(func=cmd_check)
 

@@ -43,7 +43,7 @@ def eccentric_adjacency(
     ``keep`` has eccentricity 0 and no neighbours."""
     if (g.num_vertices if keep is None else keep.bit_count()) < 2:
         raise InputError("eccentric graph requires at least two vertices")
-    ecc, far = eccentric_sets(g) if keep is None else eccentric_sets(g, keep)
+    ecc, far = eccentric_sets(g, keep)
     # v in far[u] means d(u,v) = e(u) <= e(v), and when e(u) = e(v) u is in
     # far[v] already; so only the v of larger eccentricity need u's bit.
     by_ecc = [0] * (max(ecc) + 2)

@@ -15,7 +15,9 @@ BFS table for the few callers that need distances themselves, and serves as
 the tests' oracle; ``bfs_distances`` gives one row of it. Girth has one
 algorithm, ``bitset_girth``: a layered BFS over neighbour bitsets, which
 ``girth`` runs on a ``Graph`` and the eccentric-graph code runs on E(G)'s
-bitsets directly.
+bitsets directly. Components have one flood fill over neighbour bitsets,
+``_component_masks``, behind ``connected_components``, ``is_connected`` and
+girth's forest test.
 """
 
 from __future__ import annotations
@@ -122,9 +124,7 @@ def bfs_distances(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[i
 
 
 def is_connected(g: Graph) -> bool:
-    if g.num_vertices == 1:
-        return True
-    return -1 not in bfs_distances(g.adjacency, 0)
+    return len(_component_masks(g.neighbour_bitsets)) == 1
 
 
 def all_pairs_distances(g: Graph) -> DistanceData:
@@ -150,32 +150,25 @@ def eccentric_sets(
     """Eccentricities and eccentric sets of a connected graph, or of the
     subgraph that the vertex bitset ``keep`` induces in it.
 
-    Grows every ball at once, ``B_k(v) = B_{k-1}(v) | OR_{w~v} B_{k-1}(w)``
-    from ``B_0(v) = {v}``. ``ecc[v]`` is the first k at which ``B_k(v)``
-    holds every vertex, and ``far[v] = full ^ B_{e(v)-1}(v)`` is the bitset
-    of the vertices eccentric to v (at distance e(v) from it). On one vertex
-    ``ecc == (0,)`` and the vertex is eccentric to itself. A ball that stops
-    growing before it is full raises ``DisconnectedGraphError``.
-
-    With ``keep`` the same loop runs on g's adjacency, and every vertex
-    outside ``keep`` starts, and stays, with an empty ball; so no ball grows
-    through it, and ``full`` is ``keep``. The answer is in g's labels: a
-    vertex outside ``keep`` gets ``ecc`` 0 and ``far`` 0.
+    ``full`` is ``keep``, or every vertex when ``keep`` is None. Every ball
+    grows at once on g's adjacency, ``B_k(v) = B_{k-1}(v) | OR_{w~v}
+    B_{k-1}(w)`` from ``B_0(v) = full & {v}``, so a vertex outside ``full``
+    starts, and stays, with an empty ball and no ball grows through it.
+    ``ecc[v]`` is the first k at which ``B_k(v)`` is ``full``, and
+    ``far[v] = full ^ B_{e(v)-1}(v)`` is the bitset of the vertices eccentric
+    to v (at distance e(v) from it). The answer is in g's labels: a vertex
+    outside ``full`` gets ``ecc`` 0 and ``far`` 0. On one vertex ``ecc`` is 0
+    and the vertex is eccentric to itself. A ball that stops growing before
+    it is full raises ``DisconnectedGraphError``.
     """
     adjacency = g.adjacency
     n = g.num_vertices
-    if keep is None:
-        full = (1 << n) - 1
-        ball = [1 << v for v in range(n)]
-        far = [full] * n
-        pending = [v for v in range(n) if ball[v] != full]
-    else:
-        if keep <= 0 or keep >> n:
-            raise InputError("keep must be a non-empty bitset of the graph's vertices")
-        full = keep
-        ball = [keep & 1 << v for v in range(n)]
-        far = [full if b else 0 for b in ball]
-        pending = members(keep) if keep & (keep - 1) else []
+    full = (1 << n) - 1 if keep is None else keep
+    if full <= 0 or full >> n:
+        raise InputError("keep must be a non-empty bitset of the graph's vertices")
+    ball = [full & 1 << v for v in range(n)]
+    far = [full if b else 0 for b in ball]
+    pending = [v for v in range(n) if 0 < ball[v] != full]
     ecc = [0] * n
     k = 0
     while pending:
@@ -228,21 +221,9 @@ def bitset_girth(nbrs: Sequence[int]) -> int:
     then found at its length.
     """
     n = len(nbrs)
-    alive = (1 << n) - 1
-    components = 0
-    unseen = alive
-    while unseen:
-        reached = frontier = unseen & -unseen
-        while frontier:
-            grown = 0
-            for v in members(frontier):
-                grown |= nbrs[v]
-            frontier = grown & ~reached
-            reached |= frontier
-        unseen ^= reached
-        components += 1
-    if sum(mask.bit_count() for mask in nbrs) // 2 == n - components:
+    if sum(mask.bit_count() for mask in nbrs) // 2 == n - len(_component_masks(nbrs)):
         return 0
+    alive = (1 << n) - 1
     best = 0  # 0 encodes "no cycle found yet"
     for root in range(n):
         visited = frontier = 1 << root
@@ -274,25 +255,28 @@ def bitset_girth(nbrs: Sequence[int]) -> int:
     return best
 
 
+def _component_masks(nbrs: Sequence[int]) -> list[int]:
+    """Vertex bitsets of the components of the graph in which vertex u has
+    the neighbour bitset ``nbrs[u]``, in order of their least vertex: a
+    flood fill from the least unseen vertex, one BFS layer per step."""
+    components = []
+    unseen = (1 << len(nbrs)) - 1
+    while unseen:
+        reached = frontier = unseen & -unseen
+        while frontier:
+            grown = 0
+            for v in members(frontier):
+                grown |= nbrs[v]
+            frontier = grown & ~reached
+            reached |= frontier
+        unseen ^= reached
+        components.append(reached)
+    return components
+
+
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted ascending."""
-    seen = [False] * g.num_vertices
-    components = []
-    for s in range(g.num_vertices):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque((s,))
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        components.append(tuple(sorted(comp)))
-    return components
+    return [tuple(members(mask)) for mask in _component_masks(g.neighbour_bitsets)]
 
 
 def apply_vertex_map(g: Graph, mapping: Iterable[int]) -> Graph:

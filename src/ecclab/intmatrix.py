@@ -35,14 +35,6 @@ class IntMatrix:
         grid = tuple(tuple(int(x) for x in row) for row in rows)
         return cls(rows=len(grid), cols=len(grid[0]) if grid else 0, entries=grid)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -60,15 +52,6 @@ def kronecker_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         for row_b in b.entries
     )
     return IntMatrix(rows=a.rows * b.rows, cols=a.cols * b.cols, entries=grid)
-
-
-def antidiagonal_j(size: int) -> IntMatrix:
-    """Ones on the antidiagonal, zeros elsewhere."""
-    if size < 1:
-        raise InputError("size must be at least 1")
-    return IntMatrix.from_rows(
-        [[1 if j == size - 1 - i else 0 for j in range(size)] for i in range(size)]
-    )
 
 
 def determinant(m: IntMatrix) -> int:

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .eccentric import (
     _graph_from_adjacency,
     eccentric_adjacency,
-    eccentric_girth,
     eccentric_graph,
     eccentricity_profile,
 )
@@ -160,71 +159,6 @@ def check_componentwise_eccentric(factors: Sequence[Graph]) -> bool:
     return True
 
 
-def four_cycle_witness(
-    factors: Sequence[Graph],
-    s: int,
-    s_triple: tuple[int, int, int],
-    t: int,
-    t_triple: tuple[int, int, int],
-    fillers: dict[int, tuple[int, int]],
-) -> tuple[int, int, int, int]:
-    """Four product vertices forming a 4-cycle in the eccentric graph.
-
-    Factor s provides a 2-path u-v-w in its eccentric graph whose middle
-    vertex has maximal eccentricity; factor t one whose middle vertex has
-    minimal eccentricity; every remaining factor i contributes an eccentric
-    edge (u_i, v_i) with e(u_i) >= e(v_i).
-    """
-    k = len(factors)
-    if not (0 <= s < k and 0 <= t < k) or s == t:
-        raise InputError("s and t must be distinct factor indices")
-    if set(fillers) != set(range(k)) - {s, t}:
-        raise InputError("fillers must cover exactly the remaining factors")
-    adjacency = [eccentric_adjacency(g) for g in factors]
-
-    def e_adjacent(i: int, x: int, y: int) -> bool:
-        return adjacency[i][1][x] >> y & 1 == 1
-
-    u_s, v_s, w_s = s_triple
-    ecc_s = adjacency[s][0]
-    if not (e_adjacent(s, u_s, v_s) and e_adjacent(s, v_s, w_s)):
-        raise PreconditionError("s-triple is not a 2-path in the factor eccentric graph")
-    if ecc_s[v_s] < max(ecc_s[u_s], ecc_s[w_s]):
-        raise PreconditionError("s-triple middle vertex must have maximal eccentricity")
-    u_t, v_t, w_t = t_triple
-    ecc_t = adjacency[t][0]
-    if not (e_adjacent(t, u_t, v_t) and e_adjacent(t, v_t, w_t)):
-        raise PreconditionError("t-triple is not a 2-path in the factor eccentric graph")
-    if ecc_t[v_t] > min(ecc_t[u_t], ecc_t[w_t]):
-        raise PreconditionError("t-triple middle vertex must have minimal eccentricity")
-    for i, (u_i, v_i) in fillers.items():
-        ecc_i = adjacency[i][0]
-        if not e_adjacent(i, u_i, v_i):
-            raise PreconditionError(f"filler for factor {i} is not an eccentric edge")
-        if ecc_i[u_i] < ecc_i[v_i]:
-            raise PreconditionError(f"filler for factor {i} must satisfy e(u) >= e(v)")
-
-    index_map = ProductIndexMap(tuple(g.num_vertices for g in factors))
-
-    def assemble(x_s: int, x_t: int, use_filler_u: bool) -> int:
-        coords = []
-        for i in range(k):
-            if i == s:
-                coords.append(x_s)
-            elif i == t:
-                coords.append(x_t)
-            else:
-                u_i, v_i = fillers[i]
-                coords.append(u_i if use_filler_u else v_i)
-        return index_map.flatten(coords)
-
-    a = assemble(u_s, v_t, use_filler_u=False)
-    b = assemble(v_s, w_t, use_filler_u=True)
-    c = assemble(w_s, v_t, use_filler_u=False)
-    d = assemble(v_s, u_t, use_filler_u=True)
-    return a, b, c, d
-
-
 def check_kronecker_correspondence(a: Graph, b: Graph) -> bool:
     """For self-centered factors, E(a box b) equals E(a) x E(b) as labeled
     graphs under the shared index map (the isomorphism is the identity)."""
@@ -249,18 +183,9 @@ def _general_product_girth(girths: Sequence[int]) -> Optional[int]:
     return None
 
 
-def predicted_product_girth_general(factors: Sequence[Graph]) -> Optional[int]:
-    """Girth of the product eccentric graph when the general theorems apply."""
-    return _general_product_girth([eccentric_girth(g) for g in factors])
-
-
-def has_four_cycle(g: Graph) -> bool:
-    """True iff some vertex pair has at least two common neighbors."""
-    return _has_four_cycle(g.neighbour_bitsets)
-
-
 def _has_four_cycle(nbrs: Sequence[int]) -> bool:
-    """has_four_cycle on neighbour bitsets."""
+    """True iff some vertex pair has at least two common neighbours; the
+    graph is given by its neighbour bitsets."""
     n = len(nbrs)
     for u in range(n):
         mask = nbrs[u]

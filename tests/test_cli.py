@@ -233,21 +233,7 @@ def test_check_unknown_suite_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_bad_ecclab_jobs_only_affects_check(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ECCLAB_JOBS", "abc")
-    assert main(["gen", "path", "3"]) == 0
-    capsys.readouterr()
-    report = str(tmp_path / "r.json")
-    assert main(["check", "grid", "--report", report]) == 2
-    assert "error: ECCLAB_JOBS" in capsys.readouterr().err
-    monkeypatch.setenv("ECCLAB_JOBS", "0")
-    assert main(["check", "grid", "--report", report]) == 2
-    assert main(["check", "grid", "--jobs", "1", "--report", report]) == 0
-    capsys.readouterr()
-
-
-def test_check_bad_jobs_flag_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("ECCLAB_JOBS", raising=False)
+def test_check_bad_jobs_flag_exit_2(tmp_path, capsys):
     assert main(["check", "grid", "--jobs", "0", "--report", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

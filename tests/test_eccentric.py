@@ -94,7 +94,7 @@ def test_matrix_entries_match_eccentric_graph_support():
     eg = eccentric_graph(g)
     for u in range(7):
         for v in range(7):
-            assert (m[u, v] != 0) == eg.has_edge(u, v)
+            assert (m.entries[u][v] != 0) == eg.has_edge(u, v)
 
 
 def test_eccentric_girth():

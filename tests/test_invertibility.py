@@ -3,7 +3,6 @@ import pytest
 from ecclab.eccentric import eccentricity_matrix
 from ecclab.errors import InputError, SizeCapError
 from ecclab.families import double_star, hypercube, path, star
-from ecclab.intmatrix import antidiagonal_j
 from ecclab.invertibility import (
     check_invertibility_classification,
     predicted_invertible,
@@ -82,6 +81,10 @@ def test_star_probe_validation():
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_hypercube_matrix_is_k_times_antidiagonal(k):
-    # E(P_2^k) equals k * J_{2^k} under binary vertex ordering.
-    expected = tuple(tuple(k * x for x in row) for row in antidiagonal_j(2**k).entries)
+    # E(P_2^k) equals k * J_{2^k} under binary vertex ordering, where J has
+    # ones on the antidiagonal and zeros elsewhere.
+    size = 2**k
+    expected = tuple(
+        tuple(k if j == size - 1 - i else 0 for j in range(size)) for i in range(size)
+    )
     assert eccentricity_matrix(hypercube(k)).entries == expected

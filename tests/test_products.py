@@ -16,11 +16,8 @@ from ecclab.products import (
     check_kronecker_correspondence,
     cn_cn_isomorphism,
     cycle_product_structure,
-    four_cycle_witness,
     grid_eccentric_closed_form,
-    has_four_cycle,
     kronecker_product_graph,
-    predicted_product_girth_general,
     predicted_tree_product_girth,
 )
 from ecclab.trees import Tree
@@ -122,41 +119,6 @@ def test_componentwise_adjacency_is_not_product_adjacency():
     assert not eccentric_graph(product).has_edge(im.flatten((0, 1)), im.flatten((2, 3)))
 
 
-def test_four_cycle_witness_valid():
-    # P_5: 2-path 2-0-3 in E(P_5), middle eccentricity 4 is maximal.
-    # C_5: any 2-path works, eccentricities are constant.
-    factors = [path(5), cycle(5)]
-    quad = four_cycle_witness(factors, 0, (2, 0, 3), 1, (2, 0, 3), {})
-    product, _ = cartesian_product(factors)
-    eg = eccentric_graph(product)
-    a, b, c, d = quad
-    assert len({a, b, c, d}) == 4
-    for x, y in ((a, b), (b, c), (c, d), (d, a)):
-        assert eg.has_edge(x, y)
-
-
-def test_four_cycle_witness_with_filler():
-    factors = [path(5), cycle(5), path(2)]
-    quad = four_cycle_witness(factors, 0, (2, 0, 3), 1, (2, 0, 3), {2: (0, 1)})
-    product, _ = cartesian_product(factors)
-    eg = eccentric_graph(product)
-    a, b, c, d = quad
-    for x, y in ((a, b), (b, c), (c, d), (d, a)):
-        assert eg.has_edge(x, y)
-
-
-def test_four_cycle_witness_rejects_swapped_roles():
-    # With the roles swapped the P_5 triple lands in the minimal-middle slot,
-    # but e(0) = 4 exceeds both neighbors' eccentricities.
-    with pytest.raises(PreconditionError):
-        four_cycle_witness([cycle(5), path(5)], 0, (2, 0, 3), 1, (2, 0, 3), {})
-
-
-def test_four_cycle_witness_filler_coverage():
-    with pytest.raises(InputError):
-        four_cycle_witness([path(5), cycle(5), path(2)], 0, (2, 0, 3), 1, (2, 0, 3), {})
-
-
 def test_kronecker_correspondence():
     assert check_kronecker_correspondence(cycle(5), cycle(5))
     assert check_kronecker_correspondence(complete(3), complete(4))
@@ -168,19 +130,13 @@ def test_kronecker_correspondence_runs_the_kernel_once_per_graph(monkeypatch):
     calls = []
     real = eccentric.eccentric_sets
 
-    def counted(g):
-        calls.append(g.num_vertices)
-        return real(g)
+    def counted(g, keep=None):
+        calls.append((g.num_vertices, keep))
+        return real(g, keep)
 
     monkeypatch.setattr(eccentric, "eccentric_sets", counted)
     assert check_kronecker_correspondence(cycle(5), complete(3))
-    assert sorted(calls) == [3, 5, 15]
-
-
-def test_predicted_product_girth_general():
-    assert predicted_product_girth_general([cycle(3), cycle(3)]) == 3
-    assert predicted_product_girth_general([cycle(5), cycle(7)]) == 4
-    assert predicted_product_girth_general([cycle(4), cycle(4)]) is None
+    assert sorted(calls) == [(3, None), (5, None), (15, None)]  # no run has a mask
 
 
 @pytest.mark.parametrize(
@@ -205,14 +161,6 @@ def test_p8_p6_product_has_two_acyclic_components():
     nontrivial = [c for c in comps if len(c) > 1]
     assert len(nontrivial) == 2
     assert girth(eg) == 0
-
-
-def test_has_four_cycle():
-    assert has_four_cycle(complete(4))
-    assert not has_four_cycle(complete(3))
-    from ecclab.families import h_graph
-
-    assert not has_four_cycle(h_graph(3))
 
 
 def test_grid_closed_form():

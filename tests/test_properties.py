@@ -1,12 +1,13 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import brute_force_girth
 from ecclab.eccentric import eccentric_graph
 from ecclab.errors import DisconnectedGraphError
 from ecclab.graphs import (
     all_pairs_distances,
+    bfs_distances,
     build_graph,
     connected_components,
     eccentric_sets,
@@ -30,10 +31,34 @@ def graphs(draw, min_vertices=2, max_vertices=10, connected=False):
     return build_graph(n, edges)
 
 
+def bfs_components(g):
+    """The reachability classes of ``bfs_distances``, by least vertex: a
+    component oracle independent of the bitset flood fill behind
+    ``connected_components``, ``is_connected`` and girth's forest test."""
+    classes = []
+    seen = set()
+    for s in range(g.num_vertices):
+        if s not in seen:
+            row = bfs_distances(g.adjacency, s)
+            comp = tuple(v for v, d in enumerate(row) if d >= 0)
+            seen.update(comp)
+            classes.append(comp)
+    return classes
+
+
+@given(graphs(min_vertices=1, max_vertices=10))
+@example(build_graph(1, []))
+@example(build_graph(4, [(1, 3)]))
+def test_components_match_bfs_reachability(g):
+    classes = bfs_components(g)
+    assert connected_components(g) == classes
+    assert is_connected(g) == (len(classes) == 1)
+
+
 @given(graphs())
 def test_girth_zero_iff_forest(g):
     # A graph is acyclic exactly when every component is a tree.
-    forest = g.num_edges == g.num_vertices - len(connected_components(g))
+    forest = g.num_edges == g.num_vertices - len(bfs_components(g))
     assert (girth(g) == 0) == forest
 
 

@@ -188,9 +188,9 @@ def test_structure_check_runs_the_kernel_once_per_diametral_pair(monkeypatch, re
     runs = []
     real = eccentric.eccentric_sets
 
-    def counted(g, *keep):
+    def counted(g, keep=None):
         runs.append(keep)
-        return real(g, *keep)
+        return real(g, keep)
 
     monkeypatch.setattr(eccentric, "eccentric_sets", counted)
     corpus = [reference_tree, Tree(path(2)), Tree(path(9)), Tree(double_star(2, 3))]
@@ -203,8 +203,8 @@ def test_structure_check_runs_the_kernel_once_per_diametral_pair(monkeypatch, re
             assert runs == []  # the subtree is the tree itself: nothing to run
         else:
             # One run on the whole tree, then one masked run per pair.
-            assert runs[0] == () and len(runs) == 1 + pairs
-            assert all(len(keep) == 1 for keep in runs[1:])
+            assert runs[0] is None and len(runs) == 1 + pairs
+            assert all(keep is not None for keep in runs[1:])
 
 
 @pytest.mark.parametrize(
