@@ -16,8 +16,9 @@ the tests' oracle; ``bfs_distances`` gives one row of it. Girth has one
 algorithm, ``bitset_girth``: a layered BFS over neighbour bitsets, which
 ``girth`` runs on a ``Graph`` and the eccentric-graph code runs on E(G)'s
 bitsets directly. Components have one flood fill over neighbour bitsets,
-``_component_masks``, behind ``connected_components``, ``is_connected`` and
-girth's forest test.
+``_component_masks``, behind ``connected_components``, ``is_connected``,
+girth's forest test and ``intmatrix.determinant``'s blocks; it also gives
+each component's even-layer mask, the two sides of a bipartite one.
 """
 
 from __future__ import annotations
@@ -255,28 +256,36 @@ def bitset_girth(nbrs: Sequence[int]) -> int:
     return best
 
 
-def _component_masks(nbrs: Sequence[int]) -> list[int]:
-    """Vertex bitsets of the components of the graph in which vertex u has
-    the neighbour bitset ``nbrs[u]``, in order of their least vertex: a
-    flood fill from the least unseen vertex, one BFS layer per step."""
+def _component_masks(nbrs: Sequence[int]) -> list[tuple[int, int]]:
+    """Components of the graph in which vertex u has the neighbour bitset
+    ``nbrs[u]``, in order of their least vertex: a flood fill from the least
+    unseen vertex, one BFS layer per step. Each component comes as a pair of
+    bitsets ``(component, even)``, ``even`` the union of the layers at even
+    depth. The component is bipartite exactly when no edge joins two
+    vertices of ``even`` or two of ``component ^ even``; those are then its
+    two sides."""
     components = []
     unseen = (1 << len(nbrs)) - 1
     while unseen:
         reached = frontier = unseen & -unseen
+        sides = [frontier, 0]
+        depth = 0
         while frontier:
             grown = 0
             for v in members(frontier):
                 grown |= nbrs[v]
             frontier = grown & ~reached
             reached |= frontier
+            depth ^= 1
+            sides[depth] |= frontier
         unseen ^= reached
-        components.append(reached)
+        components.append((reached, sides[0]))
     return components
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted ascending."""
-    return [tuple(members(mask)) for mask in _component_masks(g.neighbour_bitsets)]
+    return [tuple(members(mask)) for mask, _ in _component_masks(g.neighbour_bitsets)]
 
 
 def apply_vertex_map(g: Graph, mapping: Iterable[int]) -> Graph:

@@ -1,10 +1,13 @@
 """Dense arbitrary-precision integer matrices and exact determinants.
 
-Python ints are unbounded, so everything here is exact by construction; the
-Bareiss routine keeps intermediate values fraction-free and skips the rows
-that are zero in the pivot column, which is most rows of a sparse
-eccentricity matrix. A Leibniz-expansion oracle (capped at 9x9) provides
-the independent verification path.
+Python ints are unbounded, so everything here is exact by construction.
+``determinant`` splits a matrix into the blocks of its nonzero pattern,
+found by the bitset flood fill of ``graphs``, and multiplies their
+determinants: a bipartite block [[0, B], [C, 0]] needs only B and C, and
+only B when C is B transposed, as in an eccentricity matrix. Each block
+left is one Bareiss run, which keeps intermediate values fraction-free and
+skips the rows that are zero in the pivot column. A Leibniz-expansion
+oracle (capped at 9x9) provides the independent verification path.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, UnsupportedSizeError
+from .graphs import _component_masks, members
 
 ORACLE_SIZE_LIMIT = 9
 
@@ -55,7 +59,65 @@ def kronecker_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant via Bareiss fraction-free elimination.
+    """Exact determinant: the product of the determinants of the blocks
+    that m's nonzero pattern falls into.
+
+    The pattern is the graph in which i ~ j when a[i][j] or a[j][i] is
+    nonzero. Ordering the vertices component by component is a symmetric
+    permutation, which keeps the determinant and makes m block-diagonal
+    with one block per component. A zero row or column gives 0 at once. A
+    bipartite component with sides X and Y is [[0, B], [C, 0]], so its
+    determinant is 0 when |X| != |Y| and otherwise (-1)^|X| det B det C;
+    when C is B transposed, as in every symmetric matrix, det C = det B and
+    one Bareiss run of side |X| is enough. Any other component is one
+    Bareiss run on its own rows and columns.
+    """
+    if not m.is_square:
+        raise InputError("determinant requires a square matrix")
+    n = m.rows
+    a = m.entries
+    # One '0'/'1' digit per entry, row-major: row i is a slice, column i a
+    # stride, and a reversed slice parses to its bitset (bit j for entry j).
+    digits = bytes(map(bool, itertools.chain.from_iterable(a))).translate(
+        bytes.maketrans(b"\0\1", b"01")
+    )
+    nbrs = []
+    for i in range(n):
+        row = int(digits[i * n:(i + 1) * n][::-1], 2)
+        col = int(digits[i::n][::-1], 2)
+        if not row or not col:
+            return 0
+        nbrs.append(row | col)
+    det = 1
+    for block, even in _component_masks(nbrs):
+        odd = block ^ even
+        if _independent(nbrs, even) and _independent(nbrs, odd):
+            xs, ys = members(even), members(odd)
+            if len(xs) != len(ys):
+                return 0
+            b = [[a[x][y] for y in ys] for x in xs]
+            c = [[a[y][x] for x in xs] for y in ys]
+            same = c == [list(col) for col in zip(*b)]
+            det_b = _bareiss(b)
+            det_c = det_b if same else _bareiss(c)
+            det *= -det_b * det_c if len(xs) % 2 else det_b * det_c
+        else:
+            vs = members(block)
+            det *= _bareiss([[a[i][j] for j in vs] for i in vs])
+        if not det:
+            return 0
+    return det
+
+
+def _independent(nbrs: list[int], side: int) -> bool:
+    """True iff no edge of the pattern, a loop (nonzero diagonal entry)
+    included, has both ends in the bitset ``side``."""
+    return all(not nbrs[v] & side for v in members(side))
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of the square grid ``a`` by Bareiss fraction-free
+    elimination, overwriting ``a``.
 
     A row whose entry in the pivot column is zero is not touched: the
     Bareiss step would only scale it by p_k / p_{k-1} (p_k the pivot of
@@ -63,10 +125,7 @@ def determinant(m: IntMatrix) -> int:
     step that last updated row i (1 before any), so the row's current
     Bareiss value is ``a[i][j] * prev // div[i]``, the division exact.
     """
-    if not m.is_square:
-        raise InputError("determinant requires a square matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
+    n = len(a)
     div = [1] * n
     sign = 1
     prev = 1

@@ -1,8 +1,11 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import fraction_determinant
+from ecclab import intmatrix
 from ecclab.eccentric import eccentricity_matrix
 from ecclab.errors import InputError, UnsupportedSizeError
 from ecclab.families import double_star, path, star
@@ -128,6 +131,91 @@ def test_bareiss_matches_fractions_on_sparse_randoms():
 def test_bareiss_matches_fractions_on_product_matrices(factors):
     m = eccentricity_matrix(cartesian_product(factors)[0])
     assert determinant(m) == fraction_determinant(m.entries)
+
+
+ENTRIES = st.integers(-4, 4)
+
+
+def grid(draw, rows, cols):
+    return [draw(st.lists(ENTRIES, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+def off_diagonal(b, c):
+    """[[0, B], [C, 0]] for B of shape p x q and C of shape q x p."""
+    p, q = len(b), len(c)
+    return [[0] * p + row for row in b] + [row + [0] * q for row in c]
+
+
+@st.composite
+def blocks(draw):
+    kind = draw(st.sampled_from(["dense", "symmetric", "bipartite", "unequal", "zero", "five"]))
+    if kind == "zero":
+        return [[0]]
+    if kind == "five":
+        return [[5]]
+    if kind == "dense":
+        k = draw(st.integers(1, 6))
+        return grid(draw, k, k)
+    p = draw(st.integers(1, 4))
+    q = p if kind != "unequal" else draw(st.integers(1, 4).filter(lambda q: q != p))
+    b = grid(draw, p, q)
+    c = [list(col) for col in zip(*b)] if kind == "symmetric" else grid(draw, q, p)
+    return off_diagonal(b, c)
+
+
+@st.composite
+def block_matrices(draw, max_side=14):
+    """Random blocks on the diagonal of a matrix of side at most
+    ``max_side``, under a random symmetric permutation of its rows and
+    columns, so the blocks are interleaved."""
+    parts = []
+    side = 0
+    for part in draw(st.lists(blocks(), min_size=1, max_size=5)):
+        if side + len(part) > max_side:
+            break
+        parts.append(part)
+        side += len(part)
+    perm = draw(st.permutations(range(side)))
+    rows = [[0] * side for _ in range(side)]
+    offset = 0
+    for part in parts:
+        for i, row in enumerate(part):
+            for j, x in enumerate(row):
+                rows[perm[offset + i]][perm[offset + j]] = x
+        offset += len(part)
+    return rows
+
+
+@settings(max_examples=300)
+@given(block_matrices())
+@example([[0]])
+@example([[5]])
+@example([[0, 2, 0], [3, 0, 0], [0, 0, 5]])
+@example([[0, 1, 2], [3, 0, 0], [4, 0, 0]])
+def test_block_determinant_matches_fractions(rows):
+    assert determinant(IntMatrix.from_rows(rows)) == fraction_determinant(rows)
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_p4_times_p2_powers(j):
+    g = cartesian_product([path(4)] + [path(2)] * j)[0] if j else path(4)
+    assert determinant(eccentricity_matrix(g)) == (j + 2) ** (2 ** (j + 2))
+
+
+def test_one_half_side_run_per_bipartite_block(monkeypatch):
+    # E(S_31 box P_2^3) is symmetric and its pattern is K_32 x K_2^3: four
+    # bipartite components, each with two sides of 32 vertices.
+    sides = []
+    real = intmatrix._bareiss
+
+    def counted(a):
+        sides.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(intmatrix, "_bareiss", counted)
+    m = eccentricity_matrix(cartesian_product([star(31)] + [path(2)] * 3)[0])
+    assert determinant(m) == (31 * 4 ** 2 * 5 ** 30) ** 8
+    assert sides == [32] * 4
 
 
 def test_kronecker_block_layout():

@@ -1,13 +1,17 @@
 import pytest
 
+from conftest import fraction_determinant
+from ecclab import invertibility
 from ecclab.eccentric import eccentricity_matrix
 from ecclab.errors import InputError, SizeCapError
 from ecclab.families import double_star, hypercube, path, star
+from ecclab.intmatrix import determinant, determinant_oracle
 from ecclab.invertibility import (
     check_invertibility_classification,
     predicted_invertible,
     star_product_determinant_probe,
 )
+from ecclab.products import cartesian_product
 from ecclab.trees import Tree
 
 
@@ -66,10 +70,23 @@ def test_star_probe_matches_block_form():
         probe = star_product_determinant_probe(n_leaves, num_p2)
         assert probe.matches, probe.factored_form
         assert probe.computed_det != 0
+        # Both signs of j = 0 and of j = 1, and j = 2, 3, against oracles
+        # that share no code with the block path.
+        g = cartesian_product([star(n_leaves)] + [path(2)] * num_p2)[0] if num_p2 else star(n_leaves)
+        m = eccentricity_matrix(g)
+        oracle = determinant_oracle(m) if m.rows <= 9 else fraction_determinant(m.entries)
+        assert probe.computed_det == oracle
     # S_3 box P_2: entries 2 (center-leaf) and 3 (leaf-leaf), |det| = (3*4*3^2)^2.
     probe = star_product_determinant_probe(3, 1)
     assert (probe.smallest_entry, probe.largest_entry) == (2, 3)
     assert abs(probe.computed_det) == 11664
+
+
+def test_star_probe_compares_the_sign(monkeypatch):
+    monkeypatch.setattr(invertibility, "determinant", lambda m: -determinant(m))
+    probe = star_product_determinant_probe(3, 1)
+    assert abs(probe.computed_det) == 11664
+    assert not probe.matches
 
 
 def test_star_probe_validation():
