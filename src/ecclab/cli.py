@@ -59,8 +59,10 @@ def cmd_ecc(args: argparse.Namespace) -> int:
     if args.matrix and args.format == "dot":
         raise InputError("--matrix writes JSON only, not --format dot")
     doc = load_graph(args.input)
+    # One cap for both forms: the kernel's first balls alone take about
+    # n²/16 bytes.
+    check_matrix_side(doc.graph.num_vertices)
     if args.matrix:
-        check_matrix_side(doc.graph.num_vertices)
         _write_output(matrix_to_json(eccentricity_matrix(doc.graph)), args.output)
         return 0
     eg = eccentric_graph(doc.graph)

@@ -23,7 +23,6 @@ each component's even-layer mask, the two sides of a bipartite one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -111,11 +110,10 @@ def bfs_distances(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[i
     """Hop counts from ``source``; -1 marks unreachable vertices."""
     dist = [-1] * len(adjacency)
     dist[source] = 0
-    queue = deque((source,))
-    pop = queue.popleft
+    # A list read in order while it grows is the queue: nothing is popped.
+    queue = [source]
     push = queue.append
-    while queue:
-        u = pop()
+    for u in queue:
         du = dist[u] + 1
         for w in adjacency[u]:
             if dist[w] < 0:

@@ -8,17 +8,13 @@ factorizations) relies on this single convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .eccentric import (
-    _graph_from_adjacency,
-    eccentric_adjacency,
-    eccentric_graph,
-    eccentricity_profile,
-)
+from .eccentric import eccentric_adjacency, eccentricity_profile
 from .errors import (
     InputError,
     PreconditionError,
@@ -78,7 +74,11 @@ def _capped_index_map(factors: Sequence[Graph]) -> ProductIndexMap:
 
 def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndexMap]:
     """Vertices are coordinate tuples; edges change exactly one coordinate
-    along an edge of that factor."""
+    along an edge of that factor.
+
+    Each vertex lists its higher neighbours factor by factor from stride 1
+    upward, so the edges come out sorted and distinct: a step along one
+    factor is shorter than any step along the factor before it."""
     if len(factors) < 2:
         raise InputError("need at least two factors")
     for g in factors:
@@ -87,16 +87,18 @@ def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndexMap]
         if not is_connected(g):
             raise InputError("each factor must be connected")
     index_map = _capped_index_map(factors)
-    strides = index_map.strides
-    total = index_map.size
+    # Per factor, stride 1 first: for each coordinate x, the flat offsets of
+    # its neighbours w > x.
+    steps = [
+        [[(w - x) * s for w in g.adjacency[x] if w > x] for x in range(g.num_vertices)]
+        for g, s in zip(reversed(factors), reversed(index_map.strides))
+    ]
     edges = []
-    for flat in range(total):
-        for g, n, s in zip(factors, index_map.factor_sizes, strides):
-            x = (flat // s) % n
-            for w in g.adjacency[x]:
-                if w > x:
-                    edges.append((flat, flat + (w - x) * s))
-    return _graph_unchecked(total, edges), index_map
+    coordinates = itertools.product(*(range(n) for n in index_map.factor_sizes))
+    for flat, coords in enumerate(coordinates):
+        for factor_steps, x in zip(steps, reversed(coords)):
+            edges.extend([(flat, flat + d) for d in factor_steps[x]])
+    return Graph(index_map.size, tuple(edges)), index_map
 
 
 def kronecker_product_graph(a: Graph, b: Graph) -> Graph:
@@ -114,26 +116,26 @@ def kronecker_product_graph(a: Graph, b: Graph) -> Graph:
     return _graph_unchecked(index_map.size, edges)
 
 
+def _coordinate_sums(parts: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """``parts[0][y_0] + ... + parts[k-1][y_{k-1}]`` for every coordinate
+    tuple y, in flat order: one list comprehension per factor."""
+    sums = parts[0]
+    for part in parts[1:]:
+        sums = [t + p for t in sums for p in part]
+    return tuple(sums)
+
+
 def check_additivity(factors: Sequence[Graph]) -> bool:
     """Product distances and eccentricities equal the sums over factors,
-    with the product side computed by direct BFS."""
-    product, index_map = cartesian_product(factors)
+    with the product side computed by direct BFS. The BFS row of u is
+    compared with the sums of the factors' rows at u's coordinates."""
+    product, _ = cartesian_product(factors)
     dd = all_pairs_distances(product)
     factor_dd = [all_pairs_distances(g) for g in factors]
-    total = index_map.size
-    coords = [index_map.unflatten(i) for i in range(total)]
-    for u in range(total):
-        cu = coords[u]
-        expected_ecc = sum(fd.ecc[x] for fd, x in zip(factor_dd, cu))
-        if dd.ecc[u] != expected_ecc:
-            return False
-        row = dd.dist[u]
-        for v in range(u + 1, total):
-            cv = coords[v]
-            expected = sum(fd.dist[x][y] for fd, x, y in zip(factor_dd, cu, cv))
-            if row[v] != expected:
-                return False
-    return True
+    if dd.ecc != _coordinate_sums([fd.ecc for fd in factor_dd]):
+        return False
+    factor_rows = itertools.product(*(fd.dist for fd in factor_dd))
+    return all(row == _coordinate_sums(rows) for row, rows in zip(dd.dist, factor_rows))
 
 
 def check_componentwise_eccentric(factors: Sequence[Graph]) -> bool:
@@ -161,15 +163,32 @@ def check_componentwise_eccentric(factors: Sequence[Graph]) -> bool:
 
 def check_kronecker_correspondence(a: Graph, b: Graph) -> bool:
     """For self-centered factors, E(a box b) equals E(a) x E(b) as labeled
-    graphs under the shared index map (the isomorphism is the identity)."""
-    factor_graphs = []
+    graphs under the shared index map (the isomorphism is the identity).
+
+    In E(a) x E(b) the neighbours of (x, y) are the (x', y') with x' ~ x in
+    E(a) and y' ~ y in E(b): E(b)'s bitset of y shifted by x' * |b| for each
+    such x'. Those are compared with E(a box b)'s neighbour bitsets."""
+    factor_nbrs = []
     for g in (a, b):
         ecc, nbrs = eccentric_adjacency(g)
         if min(ecc) != max(ecc):
             raise PreconditionError("factors must be self-centered (constant eccentricity)")
-        factor_graphs.append(_graph_from_adjacency(nbrs))
-    product, _ = cartesian_product([a, b])
-    return eccentric_graph(product).edge_set == kronecker_product_graph(*factor_graphs).edge_set
+        factor_nbrs.append(nbrs)
+    product, index_map = cartesian_product([a, b])
+    nbrs = eccentric_adjacency(product)[1]
+    nbrs_a, nbrs_b = factor_nbrs
+    stride, _ = index_map.strides
+    flat = 0
+    for mask_a in nbrs_a:
+        shifts = [x * stride for x in members(mask_a)]
+        for mask_b in nbrs_b:
+            expected = 0
+            for shift in shifts:
+                expected |= mask_b << shift
+            if nbrs[flat] != expected:
+                return False
+            flat += 1
+    return True
 
 
 def _general_product_girth(girths: Sequence[int]) -> Optional[int]:

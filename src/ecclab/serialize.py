@@ -4,8 +4,9 @@ Graph documents are plain JSON objects with 0-based vertices. Matrix
 entries are written as decimal strings so arbitrary-precision integers
 survive JSON number limits. ``graph_to_dict`` and ``matrix_to_dict`` define
 the fields and their order; ``graph_to_json`` and ``matrix_to_json`` write
-those dicts as ``json.dumps(..., indent=2)`` would, with ``str.join`` in
-place of json's pure-Python indent encoder.
+the bytes that ``json.dumps(..., indent=2)`` writes for those dicts, with
+``str.join`` in place of json's pure-Python indent encoder;
+``matrix_to_json`` never builds its dict.
 """
 
 from __future__ import annotations
@@ -144,11 +145,19 @@ def matrix_to_dict(m: IntMatrix) -> dict:
 _ENTRY_SEPARATOR = '",\n      "'
 
 
-def _row_text(row: list[str]) -> str:
-    # Entries are decimal strings, which need no escaping.
-    return f'[\n      "{_ENTRY_SEPARATOR.join(row)}"\n    ]'
-
-
 def matrix_to_json(m: IntMatrix) -> str:
-    """``json.dumps(matrix_to_dict(m), indent=2) + "\\n"``."""
-    return _indented_json(matrix_to_dict(m), {"entries": _row_text})
+    """``json.dumps(matrix_to_dict(m), indent=2) + "\\n"``, written a row at
+    a time: each distinct entry is formatted once, every row is joined from
+    those strings, and the document is one join over the rows, so neither
+    the n² strings of ``matrix_to_dict`` nor partial copies of the output
+    are built."""
+    text: dict[int, str] = {}
+    pieces = [f'{{\n  "rows": {m.rows},\n  "cols": {m.cols},\n  "entries": [\n    [\n      "']
+    for row in m.entries:
+        for x in set(row).difference(text):
+            text[x] = str(x)
+        # Entries are decimal strings, which need no escaping.
+        pieces.append(_ENTRY_SEPARATOR.join(map(text.__getitem__, row)))
+        pieces.append('"\n    ],\n    [\n      "')
+    pieces[-1] = '"\n    ]\n  ]\n}\n'
+    return "".join(pieces)

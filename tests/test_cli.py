@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ecclab import eccentric
 from ecclab.cli import build_parser, main
 from ecclab.families import path, star
 from ecclab.serialize import GraphDocument, load_graph, save_graph
@@ -137,6 +138,19 @@ def test_ecc_matrix_over_matrix_side_cap_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: matrix side 4097 exceeds the cap of 4096\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--format", "dot"]])
+def test_ecc_over_matrix_side_cap_exit_2_before_the_kernel(tmp_path, capsys, monkeypatch, flags):
+    runs = []
+    monkeypatch.setattr(eccentric, "eccentric_sets", lambda *args: runs.append(args))
+    doc = tmp_path / "e4097.json"
+    doc.write_text(json.dumps({"num_vertices": 4097, "edges": []}))
+    assert main(["ecc", str(doc), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix side 4097 exceeds the cap of 4096\n"
+    assert runs == []
 
 
 def test_ecc_matrix_rejects_dot_format_exit_2(tmp_path, capsys):

@@ -12,7 +12,11 @@ from ecclab.eccentric import (
 from ecclab.errors import DisconnectedGraphError, InputError
 from ecclab.families import complete, cycle, path, star
 from ecclab.graphs import Graph, all_pairs_distances, build_graph
-from ecclab.products import cartesian_product, predicted_tree_product_girth
+from ecclab.products import (
+    cartesian_product,
+    check_kronecker_correspondence,
+    predicted_tree_product_girth,
+)
 from ecclab.trees import (
     Tree,
     check_monotone_exclusion,
@@ -178,7 +182,9 @@ def test_eccentric_objects_build_no_distance_table(monkeypatch):
     eccentricity_profile(g)
     # From here on no Graph of E(G) may be built either.
     monkeypatch.setattr(eccentric, "_graph_from_adjacency", forbidden)
-    monkeypatch.setattr(products, "eccentric_graph", forbidden)
+    monkeypatch.setattr(products, "kronecker_product_graph", forbidden)
+    assert not hasattr(products, "eccentric_graph")
+    assert check_kronecker_correspondence(cycle(5), cycle(7))
     assert eccentric_girth(g) == 4
     t = random_tree(12, seed=4)
     assert check_monotone_exclusion(t)

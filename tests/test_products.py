@@ -85,6 +85,26 @@ def test_additivity_instances():
     assert check_additivity([cycle(5), path(2)])
 
 
+@pytest.mark.parametrize("part, u, v", [("dist", 0, 11), ("dist", 7, 2), ("ecc", 5, None)])
+def test_additivity_detects_an_entry_off_by_one(monkeypatch, part, u, v):
+    real = products.all_pairs_distances
+
+    def corrupted(g):
+        dd = real(g)
+        if g.num_vertices < 12:  # a factor
+            return dd
+        if part == "ecc":
+            ecc = list(dd.ecc)
+            ecc[u] += 1
+            return dataclasses.replace(dd, ecc=tuple(ecc))
+        dist = [list(row) for row in dd.dist]
+        dist[u][v] += 1
+        return dataclasses.replace(dd, dist=tuple(map(tuple, dist)))
+
+    monkeypatch.setattr(products, "all_pairs_distances", corrupted)
+    assert not check_additivity([path(3), path(4)])
+
+
 def test_componentwise_instances():
     assert check_componentwise_eccentric([path(4), path(4)])
     assert check_componentwise_eccentric([cycle(6), cycle(6)])
@@ -137,6 +157,21 @@ def test_kronecker_correspondence_runs_the_kernel_once_per_graph(monkeypatch):
     monkeypatch.setattr(eccentric, "eccentric_sets", counted)
     assert check_kronecker_correspondence(cycle(5), complete(3))
     assert sorted(calls) == [(3, None), (5, None), (15, None)]  # no run has a mask
+
+
+@pytest.mark.parametrize("vertex, flipped", [(0, 0), (4, 13), (14, 6)])
+def test_kronecker_correspondence_detects_a_flipped_bit(monkeypatch, vertex, flipped):
+    real = products.eccentric_adjacency
+
+    def corrupted(g, keep=None):
+        ecc, nbrs = real(g, keep)
+        if g.num_vertices == 15:  # the product
+            nbrs = list(nbrs)
+            nbrs[vertex] ^= 1 << flipped
+        return ecc, nbrs
+
+    monkeypatch.setattr(products, "eccentric_adjacency", corrupted)
+    assert not check_kronecker_correspondence(cycle(5), complete(3))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ from hypothesis import example, given, settings
 from conftest import brute_force_girth
 from ecclab.eccentric import eccentric_graph
 from ecclab.errors import DisconnectedGraphError
+from ecclab.families import complete, cycle, path
 from ecclab.graphs import (
+    _normalize_edges,
     all_pairs_distances,
     bfs_distances,
     build_graph,
@@ -210,3 +212,22 @@ def test_index_map_bijection(sizes):
     im = ProductIndexMap(tuple(sizes))
     seen = {im.flatten(im.unflatten(i)) for i in range(im.size)}
     assert seen == set(range(im.size))
+
+
+factor_graphs = st.one_of(
+    st.integers(2, 6).map(path),
+    st.integers(3, 6).map(cycle),
+    st.integers(2, 5).map(complete),
+    st.tuples(st.integers(2, 7), st.integers(0, 2**20)).map(
+        lambda nk: random_tree(*nk).graph
+    ),
+)
+
+
+@given(st.lists(factor_graphs, min_size=2, max_size=3))
+def test_cartesian_product_edges_come_out_normalized(factors):
+    g, im = cartesian_product(factors)
+    assert g.edges == _normalize_edges(g.edges)
+    assert g.num_edges == sum(
+        f.num_edges * im.size // f.num_vertices for f in factors
+    )

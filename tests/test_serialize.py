@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from ecclab.errors import InputError
-from ecclab.families import cycle, path
+from ecclab.eccentric import eccentricity_matrix
+from ecclab.families import cycle, grid, hypercube, path
 from ecclab.graphs import build_graph
 from ecclab.intmatrix import IntMatrix
 from ecclab.serialize import (
@@ -74,6 +75,20 @@ def test_graph_to_json_matches_the_indent_encoder(doc):
 @settings(max_examples=200)
 @given(matrices())
 def test_matrix_to_json_matches_the_indent_encoder(m):
+    assert matrix_to_json(m) == json.dumps(matrix_to_dict(m), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [path(n) for n in range(2, 41)]
+    + [cycle(n) for n in range(3, 41)]
+    + [grid(m, n) for m, n in ((2, 2), (3, 7), (6, 6), (9, 13), (17, 17))]
+    + [hypercube(5)],
+    ids=lambda g: f"{g.num_vertices}v{g.num_edges}e",
+)
+def test_eccentricity_matrix_json_matches_the_indent_encoder(graph):
+    # Entries repeat along every row and reach two digits.
+    m = eccentricity_matrix(graph)
     assert matrix_to_json(m) == json.dumps(matrix_to_dict(m), indent=2) + "\n"
 
 
