@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .graphs import Graph, bitset_girth, eccentric_sets, members
+from .graphs import Graph, _graph_from_bitsets, bitset_girth, eccentric_sets, members
 from .intmatrix import IntMatrix
 
 
@@ -60,19 +60,10 @@ def eccentric_adjacency(
     return ecc, nbrs
 
 
-def _graph_from_adjacency(nbrs: list[int]) -> Graph:
-    """The graph in which vertex u has the neighbour bitset ``nbrs[u]``."""
-    edges = []
-    for u, mask in enumerate(nbrs):
-        after = u + 1
-        edges.extend((u, after + i) for i in members(mask >> after))
-    return Graph(len(nbrs), tuple(edges))
-
-
 def eccentric_graph(g: Graph) -> Graph:
     """Graph joining u,v whenever d(u,v) = min(e(u), e(v))."""
     _, nbrs = eccentric_adjacency(g)
-    return _graph_from_adjacency(nbrs)
+    return _graph_from_bitsets(nbrs)
 
 
 def eccentricity_matrix(g: Graph) -> IntMatrix:

@@ -76,6 +76,17 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edge_set
 
 
+def _graph_from_bitsets(nbrs: Sequence[int]) -> Graph:
+    """The graph in which vertex u has the neighbour bitset ``nbrs[u]``: the
+    inverse of ``Graph.neighbour_bitsets``. Each edge is read from the row
+    of its lower end, so the edges come out sorted and distinct."""
+    edges = []
+    for u, mask in enumerate(nbrs):
+        after = u + 1
+        edges.extend((u, after + i) for i in members(mask >> after))
+    return Graph(len(nbrs), tuple(edges))
+
+
 @dataclass(frozen=True)
 class DistanceData:
     """All-pairs hop counts with per-vertex eccentricities."""

@@ -43,9 +43,10 @@ def predicted_invertible(factor_trees: Sequence[Tree]) -> bool:
 
 
 def check_matrix_side(side: int) -> None:
-    """Raise SizeCapError for an eccentricity matrix wider than MATRIX_SIDE_CAP."""
+    """Raise SizeCapError for a graph of more than MATRIX_SIDE_CAP vertices,
+    the side of its eccentricity matrix."""
     if side > MATRIX_SIDE_CAP:
-        raise SizeCapError(f"matrix side {side} exceeds the cap of {MATRIX_SIDE_CAP}")
+        raise SizeCapError(f"{side} vertices exceed the cap of {MATRIX_SIDE_CAP}")
 
 
 def _product_graph(factor_trees: Sequence[Tree]) -> Graph:

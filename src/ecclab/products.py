@@ -4,6 +4,10 @@ Flat vertex indices are row-major with the first factor most significant,
 fixed once in ProductIndexMap, which ``intmatrix.kronecker_matrix`` follows
 too; every cross-module comparison (identity-map equalities, matrix
 factorizations) relies on this single convention.
+
+``_tensor_rows`` builds, in that order, the bitset rows of the relation
+"related in every coordinate" from the factors' rows: the Kronecker
+product's adjacency, the componentwise eccentric sets and E(a) x E(b).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _graph_from_bitsets,
     _graph_unchecked,
     all_pairs_distances,
     bitset_girth,
@@ -61,6 +66,23 @@ class ProductIndexMap:
         for n, s in zip(self.factor_sizes, self.strides):
             coords.append((index // s) % n)
         return tuple(coords)
+
+
+def _tensor_rows(relations: Sequence[Sequence[int]]) -> list[int]:
+    """Bitset rows of the product relation in ProductIndexMap's flat order:
+    bit v of row u is set iff bit v_i of ``relations[i][u_i]`` is set for
+    every i, where ``relations[i]`` holds factor i's rows.
+
+    The factors are added one at a time. For a factor of n vertices, each
+    row built so far has its members spread to multiples of n, then is
+    multiplied by the factor's row: the shifted copies of that row fill
+    disjoint n-bit windows, so the integer product is their union."""
+    rows = [1]
+    for relation in relations:
+        n = len(relation)
+        spread = [sum(1 << (v * n) for v in members(row)) for row in rows]
+        rows = [s * r for s in spread for r in relation]
+    return rows
 
 
 def _capped_index_map(factors: Sequence[Graph]) -> ProductIndexMap:
@@ -106,14 +128,8 @@ def kronecker_product_graph(a: Graph, b: Graph) -> Graph:
     as the 2-factor Cartesian product."""
     if a.num_vertices < 2 or b.num_vertices < 2:
         raise InputError("each factor needs at least two vertices")
-    index_map = _capped_index_map((a, b))
-    s, _ = index_map.strides
-    edges = set()
-    for u1, v1 in a.edges:
-        for u2, v2 in b.edges:
-            edges.add((u1 * s + u2, v1 * s + v2))
-            edges.add((u1 * s + v2, v1 * s + u2))
-    return _graph_unchecked(index_map.size, edges)
+    _capped_index_map((a, b))
+    return _graph_from_bitsets(_tensor_rows([a.neighbour_bitsets, b.neighbour_bitsets]))
 
 
 def _coordinate_sums(parts: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -139,56 +155,26 @@ def check_additivity(factors: Sequence[Graph]) -> bool:
 
 
 def check_componentwise_eccentric(factors: Sequence[Graph]) -> bool:
-    """v eccentric to u in the product iff v_i eccentric to u_i in every factor.
-
-    The eccentric set of u must equal the flat indices of the coordinate
-    tuples drawn from the factors' eccentric sets of the u_i. It is built
-    one factor at a time: shifting a bitset by ``y * stride`` adds
-    coordinate y of that factor to every member."""
-    product, index_map = cartesian_product(factors)
+    """v eccentric to u in the product iff v_i eccentric to u_i in every factor:
+    the product's eccentric sets are the tensor rows of the factors'."""
+    product, _ = cartesian_product(factors)
     far = eccentricity_profile(product).far
-    factor_far = [eccentricity_profile(g).far for g in factors]
-    strides = index_map.strides
-    for u in range(index_map.size):
-        expected = 1
-        for ff, x, stride in zip(factor_far, index_map.unflatten(u), strides):
-            lifted = 0
-            for y in members(ff[x]):
-                lifted |= expected << (y * stride)
-            expected = lifted
-        if far[u] != expected:
-            return False
-    return True
+    return list(far) == _tensor_rows([eccentricity_profile(g).far for g in factors])
 
 
 def check_kronecker_correspondence(a: Graph, b: Graph) -> bool:
     """For self-centered factors, E(a box b) equals E(a) x E(b) as labeled
-    graphs under the shared index map (the isomorphism is the identity).
-
-    In E(a) x E(b) the neighbours of (x, y) are the (x', y') with x' ~ x in
-    E(a) and y' ~ y in E(b): E(b)'s bitset of y shifted by x' * |b| for each
-    such x'. Those are compared with E(a box b)'s neighbour bitsets."""
+    graphs under the shared index map (the isomorphism is the identity):
+    E(a box b)'s neighbour bitsets are the tensor rows of E(a)'s and
+    E(b)'s."""
     factor_nbrs = []
     for g in (a, b):
         ecc, nbrs = eccentric_adjacency(g)
         if min(ecc) != max(ecc):
             raise PreconditionError("factors must be self-centered (constant eccentricity)")
         factor_nbrs.append(nbrs)
-    product, index_map = cartesian_product([a, b])
-    nbrs = eccentric_adjacency(product)[1]
-    nbrs_a, nbrs_b = factor_nbrs
-    stride, _ = index_map.strides
-    flat = 0
-    for mask_a in nbrs_a:
-        shifts = [x * stride for x in members(mask_a)]
-        for mask_b in nbrs_b:
-            expected = 0
-            for shift in shifts:
-                expected |= mask_b << shift
-            if nbrs[flat] != expected:
-                return False
-            flat += 1
-    return True
+    product, _ = cartesian_product([a, b])
+    return eccentric_adjacency(product)[1] == _tensor_rows(factor_nbrs)
 
 
 def _general_product_girth(girths: Sequence[int]) -> Optional[int]:

@@ -109,10 +109,14 @@ def save_graph(doc: GraphDocument, path: str) -> None:
 
 
 def load_graph(path: str) -> GraphDocument:
-    with open(path) as fh:
+    """Read a graph document from a UTF-8 JSON file. Text that is not UTF-8,
+    not JSON, or nested deeper than the decoder's recursion limit raises
+    ``InputError``."""
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers json.JSONDecodeError and UnicodeDecodeError.
             raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("graph document must be a JSON object")

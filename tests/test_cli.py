@@ -126,7 +126,7 @@ def test_det_over_matrix_side_cap_exit_2(tmp_path, capsys):
         {"num_vertices": 4097, "edges": [[v, v + 1] for v in range(4096)]}
     ))
     assert main(["det", str(doc)]) == 2
-    assert capsys.readouterr().err == "error: matrix side 4097 exceeds the cap of 4096\n"
+    assert capsys.readouterr().err == "error: 4097 vertices exceed the cap of 4096\n"
 
 
 def test_ecc_matrix_over_matrix_side_cap_exit_2(tmp_path, capsys):
@@ -137,7 +137,7 @@ def test_ecc_matrix_over_matrix_side_cap_exit_2(tmp_path, capsys):
     assert main(["ecc", str(doc), "--matrix"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: matrix side 4097 exceeds the cap of 4096\n"
+    assert captured.err == "error: 4097 vertices exceed the cap of 4096\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--format", "dot"]])
@@ -149,8 +149,21 @@ def test_ecc_over_matrix_side_cap_exit_2_before_the_kernel(tmp_path, capsys, mon
     assert main(["ecc", str(doc), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: matrix side 4097 exceeds the cap of 4096\n"
+    assert captured.err == "error: 4097 vertices exceed the cap of 4096\n"
     assert runs == []
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # a UTF-16 byte-order mark: not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder's recursion limit
+], ids=["not-utf8", "deeply-nested"])
+def test_ecc_on_an_unreadable_document_exit_2(tmp_path, capsys, content):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(content)
+    assert main(["ecc", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_ecc_matrix_rejects_dot_format_exit_2(tmp_path, capsys):

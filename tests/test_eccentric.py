@@ -181,7 +181,8 @@ def test_eccentric_objects_build_no_distance_table(monkeypatch):
     eccentricity_matrix(g)
     eccentricity_profile(g)
     # From here on no Graph of E(G) may be built either.
-    monkeypatch.setattr(eccentric, "_graph_from_adjacency", forbidden)
+    for module in (graphs, eccentric, products):
+        monkeypatch.setattr(module, "_graph_from_bitsets", forbidden)
     monkeypatch.setattr(products, "kronecker_product_graph", forbidden)
     assert not hasattr(products, "eccentric_graph")
     assert check_kronecker_correspondence(cycle(5), cycle(7))

@@ -1,3 +1,5 @@
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from ecclab.graphs import (
     members,
 )
 from ecclab.intmatrix import IntMatrix, determinant, determinant_oracle
-from ecclab.products import ProductIndexMap, cartesian_product
+from ecclab.products import ProductIndexMap, _tensor_rows, cartesian_product
 from ecclab.trees import prufer_decode, random_tree
 
 
@@ -212,6 +214,27 @@ def test_index_map_bijection(sizes):
     im = ProductIndexMap(tuple(sizes))
     seen = {im.flatten(im.unflatten(i)) for i in range(im.size)}
     assert seen == set(range(im.size))
+
+
+# One relation per factor, as bitset rows on 1..6 vertices. Random rows are
+# in general not symmetric, as eccentric sets are not.
+factor_relations = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+)
+
+
+@given(st.lists(factor_relations, min_size=1, max_size=3))
+@example([[0b10, 0b11], [0b001, 0b100, 0b110]])
+def test_tensor_rows_match_the_coordinatewise_relation(relations):
+    """Row u relates u to every v with v_i in factor i's row of u_i, for
+    every i: the product of the rows' members, flattened tuple by tuple."""
+    im = ProductIndexMap(tuple(len(r) for r in relations))
+    expected = []
+    for u in range(im.size):
+        rows = [r[x] for r, x in zip(relations, im.unflatten(u))]
+        related = [[y for y in range(row.bit_length()) if row >> y & 1] for row in rows]
+        expected.append(sum(1 << im.flatten(v) for v in itertools.product(*related)))
+    assert _tensor_rows(relations) == expected
 
 
 factor_graphs = st.one_of(
