@@ -2,10 +2,11 @@
 
 Every family has a deterministic, documented labeling so that known
 eccentric graphs can be asserted as labeled edge-set equalities rather than
-up-to-isomorphism claims. The star/path closed forms below include two
-facts that follow from the definitions and are confirmed by the brute-force
-oracle: E(S_n) = K_{n+1}, and the exact labelings of the double-star and
-pendant-triangle forms of E(P_n).
+up-to-isomorphism claims. The star/path closed forms below follow from the
+definitions and are confirmed by the brute-force oracle: E(S_n) = K_{n+1},
+and E(P_n) joins each vertex to the path end(s) at least halfway away,
+which gives the double star on the ends for even n and the pendant
+triangle on the ends and the middle for odd n.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .graphs import Graph, _graph_unchecked
-from .products import cartesian_product
+from .products import _path_far_ends, cartesian_product
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -131,31 +132,22 @@ def expected_eccentric(spec: FamilySpec) -> Graph:
 
 
 def _expected_path_eccentric(n: int) -> Graph:
+    """Each vertex joins the path end(s) eccentric to it. For even n this is
+    the double star on the ends 0 and n-1, each joined to the far half of
+    the interior; for odd n the ends and the middle form a triangle and
+    every other vertex hangs off the end far from it; n <= 3 gives K_n."""
     if n < 2:
         raise InputError("eccentric graph needs at least two vertices")
-    if n <= 3:
-        return complete(n)
-    if n % 2 == 0:
-        # Double star: centers 0 and n-1 (the path endpoints), each adjacent
-        # to the far half of the interior.
-        edges = [(0, n - 1)]
-        edges += [(0, v) for v in range(n // 2, n - 1)]
-        edges += [(v, n - 1) for v in range(1, n // 2)]
-        return _graph_unchecked(n, edges)
-    mid = (n - 1) // 2
-    edges = [(0, mid), (mid, n - 1), (0, n - 1)]
-    edges += [(0, v) for v in range((n + 1) // 2, n - 1)]
-    edges += [(v, n - 1) for v in range(1, (n - 1) // 2)]
-    return _graph_unchecked(n, edges)
+    return _graph_unchecked(n, _path_far_ends(n))
 
 
 def _expected_cycle_eccentric(n: int) -> Graph:
+    """i joins i + n//2 mod n. For even n that is its antipode, listed from
+    both ends; for odd n it is one of i's two eccentric vertices, and the
+    other joins i from n//2 steps back."""
     if n < 3:
         raise InputError("cycle needs at least three vertices")
-    if n % 2 == 0:
-        return _graph_unchecked(n, [(i, i + n // 2) for i in range(n // 2)])
-    half = (n - 1) // 2
-    return _graph_unchecked(n, [(i, (i + half) % n) for i in range(n)])
+    return _graph_unchecked(n, [(i, (i + n // 2) % n) for i in range(n)])
 
 
 def _expected_bipartite_eccentric(s: int, t: int) -> Graph:

@@ -109,6 +109,7 @@ def build_graph(num_vertices: int, edge_list: Iterable[tuple[int, int]]) -> Grap
     """Build a simple graph, deduplicating and normalizing the edge list."""
     if num_vertices < 1:
         raise InputError(f"need at least one vertex, got {num_vertices}")
+    edge_list = tuple(edge_list)  # a one-shot iterable is read twice below
     for u, v in edge_list:
         if u == v:
             raise InputError(f"self-loop at vertex {u}")

@@ -7,7 +7,8 @@ factorizations) relies on this single convention.
 
 ``_tensor_rows`` builds, in that order, the bitset rows of the relation
 "related in every coordinate" from the factors' rows: the Kronecker
-product's adjacency, the componentwise eccentric sets and E(a) x E(b).
+product's adjacency, the componentwise eccentric sets, E(a) x E(b) and the
+grid's quadrant corners.
 """
 
 from __future__ import annotations
@@ -103,12 +104,14 @@ def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndexMap]
     factor is shorter than any step along the factor before it."""
     if len(factors) < 2:
         raise InputError("need at least two factors")
+    # The cap first: the connectivity test costs O(n^2) bit work on a
+    # factor with many components.
+    index_map = _capped_index_map(factors)
     for g in factors:
         if g.num_vertices < 2:
             raise InputError("each factor needs at least two vertices")
         if not is_connected(g):
             raise InputError("each factor must be connected")
-    index_map = _capped_index_map(factors)
     # Per factor, stride 1 first: for each coordinate x, the flat offsets of
     # its neighbours w > x.
     steps = [
@@ -222,25 +225,30 @@ def predicted_tree_product_girth(factor_trees: Sequence[Tree]) -> int:
     return 4
 
 
+def _path_far_ends(k: int) -> list[tuple[int, int]]:
+    """The pairs (x, e) in which the end e of the path 0-1-...-(k-1) is
+    eccentric to x: the end k-1 when 2x <= k-1 and the end 0 when
+    2x >= k-1, so the middle of an odd path has both."""
+    return [(x, k - 1) for x in range(k) if 2 * x <= k - 1] + [
+        (x, 0) for x in range(k) if 2 * x >= k - 1
+    ]
+
+
 def grid_eccentric_closed_form(m: int, n: int) -> Graph:
     """Closed-form eccentric graph of the m x n grid: each vertex joins the
-    opposite corner(s) of every quadrant containing it. Valid for m, n >= 3;
-    the m=2 boundary deviates (see the product girth classification)."""
+    opposite corner(s) of every quadrant containing it, which are the tensor
+    rows of the two paths' far ends. Valid for m, n >= 3; the m=2 boundary
+    deviates (see the product girth classification)."""
     if m < 3 or n < 3:
         raise UnsupportedSizeError("closed form requires m, n >= 3")
-    index_map = ProductIndexMap((m, n))
-    edges = set()
-    for flat in range(index_map.size):
-        i, j = index_map.unflatten(flat)
-        # The far rows and columns of the quadrants holding (i, j).
-        rows = [r for r, inside in ((m - 1, i <= (m - 1) // 2), (0, i >= m // 2)) if inside]
-        cols = [c for c, inside in ((n - 1, j <= (n - 1) // 2), (0, j >= n // 2)) if inside]
-        for r in rows:
-            for c in cols:
-                corner = index_map.flatten((r, c))
-                if corner != flat:
-                    edges.add((flat, corner) if flat < corner else (corner, flat))
-    return _graph_unchecked(index_map.size, edges)
+    far_ends = []
+    for k in (m, n):
+        rows = [0] * k
+        for x, e in _path_far_ends(k):
+            rows[x] |= 1 << e
+        far_ends.append(rows)
+    corners = _tensor_rows(far_ends)
+    return _graph_unchecked(m * n, ((u, c) for u, row in enumerate(corners) for c in members(row)))
 
 
 @dataclass(frozen=True)
@@ -280,24 +288,13 @@ def cycle_product_structure(n: int, m: int) -> CycleProductReport:
 
 
 def cn_cn_isomorphism(n: int) -> tuple[int, ...]:
-    """Flat-index bijection mapping C_n box C_n onto C_n x C_n for odd n.
-
-    Computed 1-based with "0 written as n", then shifted to 0-based:
-    f(1,1)=(1,1), f(i,1)=(n+2-i, n+2-i), f(i,j)=f(i,1)+(j-1, 1-j) mod n.
-    """
+    """Flat-index bijection mapping C_n box C_n onto C_n x C_n for odd n:
+    (i, j) goes to (j - i, -i - j) mod n. A step in i or in j moves both
+    image coordinates by one, and the map is invertible because its
+    determinant, 2, is a unit mod odd n."""
     if n < 3 or n % 2 == 0:
         raise PreconditionError("defined for odd n >= 3 only")
-
-    def wrap(x: int) -> int:
-        r = x % n
-        return n if r == 0 else r
-
     index_map = ProductIndexMap((n, n))
-    perm = [0] * index_map.size
-    for i in range(1, n + 1):
-        s = t = 1 if i == 1 else n + 2 - i
-        for j in range(1, n + 1):
-            a = wrap(s + j - 1)
-            b = wrap(t + 1 - j)
-            perm[index_map.flatten((i - 1, j - 1))] = index_map.flatten((a - 1, b - 1))
-    return tuple(perm)
+    return tuple(
+        index_map.flatten(((j - i) % n, (-i - j) % n)) for i in range(n) for j in range(n)
+    )

@@ -54,9 +54,17 @@ def test_expected_eccentric_labeled_examples():
     assert set(expected_eccentric(FamilySpec("path", (8,))).edges) == {
         (0, 7), (0, 4), (0, 5), (0, 6), (1, 7), (2, 7), (3, 7)
     }
+    # E(P_7): pendant triangle on 0, 3 and 6.
+    assert set(expected_eccentric(FamilySpec("path", (7,))).edges) == {
+        (0, 3), (0, 4), (0, 5), (0, 6), (1, 6), (2, 6), (3, 6)
+    }
     # E(C_6): perfect matching of antipodes.
     assert set(expected_eccentric(FamilySpec("cycle", (6,))).edges) == {
         (0, 3), (1, 4), (2, 5)
+    }
+    # E(C_7): each vertex joins the two vertices 3 steps away.
+    assert set(expected_eccentric(FamilySpec("cycle", (7,))).edges) == {
+        (0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)
     }
     with pytest.raises(InputError):
         expected_eccentric(FamilySpec("grid", (3, 3)))

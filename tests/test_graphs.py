@@ -50,6 +50,20 @@ def test_build_graph_rejects_self_loops_and_out_of_range():
         build_graph(0, [])
 
 
+def test_build_graph_reads_a_generator_like_a_list():
+    edges = [(0, 1), (2, 1), (1, 0)]
+    assert build_graph(3, (e for e in edges)) == build_graph(3, edges)
+    assert build_graph(3, (e for e in edges)).edges == ((0, 1), (1, 2))
+    # The first bad edge of the input is reported as the input wrote it.
+    for bad, message in (
+        ([(0, 1), (2, 2)], r"self-loop at vertex 2"),
+        ([(0, 1), (3, 1), (0, 5)], r"edge \(3,1\) out of range for 3 vertices"),
+        ([(-1, 1)], r"edge \(-1,1\) out of range"),
+    ):
+        with pytest.raises(InputError, match=message):
+            build_graph(3, (e for e in bad))
+
+
 def test_bfs_distances_marks_unreachable():
     g = build_graph(4, [(0, 1), (2, 3)])
     assert bfs_distances(g.adjacency, 0) == [0, 1, -1, -1]

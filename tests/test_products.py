@@ -56,6 +56,15 @@ def test_cartesian_validation():
         cartesian_product([path(200), path(200)])
 
 
+def test_cartesian_cap_comes_before_the_connectivity_test(monkeypatch):
+    def refused(g):
+        raise AssertionError("is_connected ran on an over-cap product")
+
+    monkeypatch.setattr(products, "is_connected", refused)
+    with pytest.raises(SizeCapError):
+        cartesian_product([build_graph(20_001, []), path(2)])
+
+
 def test_kronecker_graph_examples():
     k2k2 = kronecker_product_graph(complete(2), complete(2))
     assert set(k2k2.edges) == {(0, 3), (1, 2)}
@@ -199,8 +208,10 @@ def test_p8_p6_product_has_two_acyclic_components():
 
 
 def test_grid_closed_form():
-    product, _ = cartesian_product([path(3), path(5)])
-    assert grid_eccentric_closed_form(3, 5) == eccentric_graph(product)
+    for m in range(3, 13):
+        for n in range(3, 13):
+            product, _ = cartesian_product([path(m), path(n)])
+            assert grid_eccentric_closed_form(m, n) == eccentric_graph(product), (m, n)
     assert girth(grid_eccentric_closed_form(4, 6)) == 0
     assert girth(grid_eccentric_closed_form(5, 7)) == 3
     with pytest.raises(UnsupportedSizeError):
@@ -242,7 +253,7 @@ def test_odd_cycle_product_is_one_component():
     assert (r.num_components, r.component_length, r.num_edges) == (1, 35, 70)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", range(3, 16, 2))
 def test_cn_cn_isomorphism(n):
     from ecclab.graphs import apply_vertex_map
 
