@@ -13,9 +13,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .eccentric import eccentric_graph, eccentricity_matrix
+from .eccentric import eccentric_graph, eccentricity_matrix, eccentricity_rows
 from .errors import EcclabError, InputError
-from .families import FAMILIES, FamilySpec, build_family
+from .families import FAMILIES, FamilySpec, build_family, check_size
 from .intmatrix import determinant
 from .invertibility import check_matrix_side
 from .products import cartesian_product, kronecker_product_graph
@@ -44,13 +44,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "random-tree":
         if len(args.params) != 1:
             raise InputError("random-tree takes exactly one parameter (vertex count)")
-        t = random_tree(args.params[0], seed=args.seed)
-        name = f"random-tree({args.params[0]}, seed={args.seed})"
+        (n,) = args.params
+        name = f"random-tree({n}, seed={args.seed})"
+        check_size(name, n, n - 1)
+        t = random_tree(n, seed=args.seed)
         doc = GraphDocument(graph=t.graph, name=name)
     else:
         spec = FamilySpec(family=args.family, params=tuple(args.params))
-        name = f"{args.family}({', '.join(map(str, args.params))})"
-        doc = GraphDocument(graph=build_family(spec), name=name)
+        doc = GraphDocument(graph=build_family(spec), name=spec.name)
     _write_output(graph_to_json(doc), args.output)
     return 0
 
@@ -63,7 +64,8 @@ def cmd_ecc(args: argparse.Namespace) -> int:
     # n²/16 bytes.
     check_matrix_side(doc.graph.num_vertices)
     if args.matrix:
-        _write_output(matrix_to_json(eccentricity_matrix(doc.graph)), args.output)
+        rows = eccentricity_rows(doc.graph)
+        _write_output(matrix_to_json(rows, doc.graph.num_vertices), args.output)
         return 0
     eg = eccentric_graph(doc.graph)
     out_doc = GraphDocument(graph=eg, name=doc.name, labels=doc.labels)

@@ -66,11 +66,25 @@ def eccentric_graph(g: Graph) -> Graph:
     return _graph_from_bitsets(nbrs)
 
 
+def eccentricity_rows(g: Graph) -> list[list[tuple[int, int]]]:
+    """The eccentricity matrix by its nonzero entries: row u lists the
+    pairs (v, min(e(u), e(v))) for the neighbours v of u in E(g), in
+    ascending v. A row has deg_E(u) entries, where the matrix has n."""
+    ecc, nbrs = eccentric_adjacency(g)
+    rows = []
+    for u, mask in enumerate(nbrs):
+        eu = ecc[u]
+        rows.append([(v, eu if eu < ecc[v] else ecc[v]) for v in members(mask)])
+    return rows
+
+
 def eccentricity_matrix(g: Graph) -> IntMatrix:
     """Distance matrix with entries zeroed unless they attain min(e(u), e(v)).
 
     On an eccentric-graph edge the distance is min(e(u), e(v)), so no
-    distance table is needed."""
+    distance table is needed. The rows are filled here rather than from
+    ``eccentricity_rows``, whose (v, entry) pairs would cost a dense
+    matrix more than they save."""
     ecc, nbrs = eccentric_adjacency(g)
     n = g.num_vertices
     rows = []

@@ -13,14 +13,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, SizeCapError
 from .graphs import Graph, _graph_unchecked
-from .products import _path_far_ends, cartesian_product
+from .products import DEFAULT_SIZE_CAP, _path_far_ends, cartesian_product
+
+# A generated graph's edge cap: K_707's 249,571 edges take about a second
+# to build and write as JSON on a 2-vCPU VM.
+EDGE_CAP = 250_000
+
 
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
     params: tuple[int, ...]
+
+    @property
+    def name(self) -> str:
+        return f"{self.family}({', '.join(map(str, self.params))})"
 
 
 def path(n: int) -> Graph:
@@ -106,10 +115,51 @@ FAMILIES = {
 }
 
 
+def _hypercube_size(k: int) -> tuple[int, int]:
+    # 2^65 stands for every larger count, which would only cost memory.
+    k = min(k, 65)
+    return 2**k, k * 2**k // 2
+
+
+# Vertex and edge counts of each family from its parameters. A parameter
+# below its family's range counts as 0, which leaves the family's own
+# check to reject it.
+_SIZES = {
+    "path": lambda n: (n, n - 1),
+    "cycle": lambda n: (n, n),
+    "star": lambda n: (n + 1, n),
+    "double_star": lambda s, t: (s + t + 2, s + t + 1),
+    "complete": lambda n: (n, n * (n - 1) // 2),
+    "complete_bipartite": lambda s, t: (s + t, s * t),
+    "h_graph": lambda t: (2 * t + 3, 2 * t + 3),
+    "grid": lambda m, n: (m * n, m * (n - 1) + n * (m - 1)),
+    "hypercube": _hypercube_size,
+}
+
+
+def _count_text(count: int) -> str:
+    return str(count) if count.bit_length() <= 64 else "more than 2^64"
+
+
+def check_size(name: str, vertices: int, edges: int) -> None:
+    """Raise SizeCapError for a graph of more than DEFAULT_SIZE_CAP
+    vertices or EDGE_CAP edges, before any edge is built."""
+    if vertices > DEFAULT_SIZE_CAP:
+        raise SizeCapError(
+            f"{name} on {_count_text(vertices)} vertices exceeds the cap of {DEFAULT_SIZE_CAP}"
+        )
+    if edges > EDGE_CAP:
+        raise SizeCapError(f"{name} with {_count_text(edges)} edges exceeds the cap of {EDGE_CAP}")
+
+
 def build_family(spec: FamilySpec) -> Graph:
+    """The family's graph, once its vertex and edge counts are within the
+    caps of ``check_size``."""
     if spec.family not in FAMILIES:
         raise InputError(f"unknown family {spec.family!r}")
     try:
+        counts = _SIZES[spec.family](*(max(p, 0) for p in spec.params))
+        check_size(spec.name, *counts)
         return FAMILIES[spec.family](*spec.params)
     except TypeError as exc:
         raise InputError(f"bad parameters for {spec.family}: {spec.params}") from exc

@@ -85,9 +85,17 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
     The closed form is sigma * (n * a^2 * b^(n-1)) ^ (2^j) with a = j+1 and
     b = j+2, the matrix's smallest nonzero and largest entries, which the
     probe reports as read off the matrix. The sign sigma is (-1)^n for
-    j = 0, (-1)^(n+1) for j = 1 and +1 for j >= 2; it is measured, not
-    derived: it matched the computed determinant for every n in 2..63 and
-    j in 0..3 with side (n+1) * 2^j <= 512.
+    j = 0, (-1)^(n+1) for j = 1 and +1 for j >= 2:
+
+    - j = 0: with the center first, E(S_n) = [[0, 1^T], [1, 2(J - I)]]. The
+      Schur complement of the n x n block D = 2(J - I), for which
+      D 1 = 2(n-1) 1 and det D = (-1)^(n-1) (n-1) 2^n, gives
+      det = -det D * 1^T D^-1 1 = (-1)^n n 2^(n-1).
+    - j >= 1: every component of E(S_n box P_2^j) is bipartite with sides
+      of equal size (the tests check n = 2..15, j = 1..3). By
+      ``determinant``'s block rule a component with sides X, Y gives
+      (-1)^|X| det(B)^2, so sigma = (-1)^(N/2) with N = (n+1) 2^j: that is
+      (-1)^(n+1) for j = 1, and +1 for j >= 2, where N/2 is even.
     """
     if n_leaves < 2:
         raise InputError("probe needs a star with at least two leaves")

@@ -5,15 +5,17 @@ entries are written as decimal strings so arbitrary-precision integers
 survive JSON number limits. ``graph_to_dict`` and ``matrix_to_dict`` define
 the fields and their order; ``graph_to_json`` and ``matrix_to_json`` write
 the bytes that ``json.dumps(..., indent=2)`` writes for those dicts, with
-``str.join`` in place of json's pure-Python indent encoder;
-``matrix_to_json`` never builds its dict.
+``str.join`` in place of json's pure-Python indent encoder.
+``matrix_to_json`` reads a matrix by its rows' nonzero entries, the form
+of ``eccentric.eccentricity_rows``, and builds neither its dict nor an
+``IntMatrix``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Optional
+from typing import Callable, NoReturn, Optional, Sequence
 
 from .errors import InputError
 from .graphs import Graph, build_graph
@@ -146,22 +148,43 @@ def matrix_to_dict(m: IntMatrix) -> dict:
     }
 
 
-_ENTRY_SEPARATOR = '",\n      "'
+# An entry's text is followed by this separator unless it ends its row.
+_SEPARATOR = ",\n      "
+_ZERO = '"0"' + _SEPARATOR
 
 
-def matrix_to_json(m: IntMatrix) -> str:
-    """``json.dumps(matrix_to_dict(m), indent=2) + "\\n"``, written a row at
-    a time: each distinct entry is formatted once, every row is joined from
-    those strings, and the document is one join over the rows, so neither
-    the n² strings of ``matrix_to_dict`` nor partial copies of the output
-    are built."""
+def matrix_to_json(rows: Sequence[Sequence[tuple[int, int]]], cols: int) -> str:
+    """``json.dumps(matrix_to_dict(m), indent=2) + "\\n"`` for the matrix m
+    of ``len(rows)`` rows and ``cols`` columns whose row i is 0 except at
+    the (column, entry) pairs of ``rows[i]``, listed in ascending column
+    order.
+
+    Each run of zeros is a slice of one string of ``cols`` zero entries,
+    each distinct entry is formatted once, and the document is one join
+    over every piece, so neither the n² strings of ``matrix_to_dict`` nor
+    partial copies of the output are built."""
+    if not rows or cols < 1:
+        raise InputError("matrix dimensions must be positive")
+    zeros = _ZERO * cols
+    width, strip = len(_ZERO), len(_SEPARATOR)
     text: dict[int, str] = {}
-    pieces = [f'{{\n  "rows": {m.rows},\n  "cols": {m.cols},\n  "entries": [\n    [\n      "']
-    for row in m.entries:
-        for x in set(row).difference(text):
-            text[x] = str(x)
-        # Entries are decimal strings, which need no escaping.
-        pieces.append(_ENTRY_SEPARATOR.join(map(text.__getitem__, row)))
-        pieces.append('"\n    ],\n    [\n      "')
-    pieces[-1] = '"\n    ]\n  ]\n}\n'
+    pieces = [f'{{\n  "rows": {len(rows)},\n  "cols": {cols},\n  "entries": [\n    [\n      ']
+    for row in rows:
+        col = 0
+        for v, x in row:
+            if v > col:
+                pieces.append(zeros[: (v - col) * width])
+            entry = text.get(x)
+            if entry is None:
+                # Entries are decimal strings, which need no escaping.
+                entry = text[x] = f'"{x}"{_SEPARATOR}'
+            pieces.append(entry)
+            col = v + 1
+        # The row's last entry drops its separator.
+        if col < cols:
+            pieces.append(zeros[: (cols - col) * width - strip])
+        else:
+            pieces[-1] = pieces[-1][:-strip]
+        pieces.append("\n    ],\n    [\n      ")
+    pieces[-1] = "\n    ]\n  ]\n}\n"
     return "".join(pieces)

@@ -1,11 +1,13 @@
 import json
+import time
 
 import pytest
 
-from ecclab import eccentric
+from ecclab import cli, eccentric
 from ecclab.cli import build_parser, main
-from ecclab.families import path, star
-from ecclab.serialize import GraphDocument, load_graph, save_graph
+from ecclab.families import EDGE_CAP, cycle, grid, path, star
+from ecclab.intmatrix import IntMatrix
+from ecclab.serialize import GraphDocument, load_graph, matrix_to_dict, save_graph
 
 # E(P_8) is the double star with centers 0 and 7; E(P_9) is the triangle
 # {0,4,8} with three pendants on each of 0 and 8. Golden DOT renderings.
@@ -54,6 +56,55 @@ def test_gen_bad_params_exit_2(capsys):
     assert main(["gen", "cycle", "2"]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["gen", "random-tree", "3", "4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["path", "99999999"], "path(99999999) on 99999999 vertices exceeds the cap of 20000"),
+        (["complete", "20000"],
+         f"complete(20000) with 199990000 edges exceeds the cap of {EDGE_CAP}"),
+        (["complete_bipartite", "10000", "10000"],
+         f"complete_bipartite(10000, 10000) with 100000000 edges exceeds the cap of {EDGE_CAP}"),
+        (["random-tree", "100000000"],
+         "random-tree(100000000, seed=0) on 100000000 vertices exceeds the cap of 20000"),
+        (["hypercube", "10000000000"],
+         "hypercube(10000000000) on more than 2^64 vertices exceeds the cap of 20000"),
+    ],
+    ids=["path", "complete", "complete-bipartite", "random-tree", "hypercube"],
+)
+def test_gen_over_a_cap_exit_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    assert main(["gen", *argv]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["hypercube", "14"], ["path", "20000"]])
+def test_gen_at_the_caps_exit_0(tmp_path, argv):
+    out = tmp_path / "g.json"
+    assert main(["gen", *argv, "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["num_vertices"] in (16384, 20000)
+
+
+def test_ecc_matrix_builds_no_dense_table(tmp_path, capsys, monkeypatch):
+    graphs = {"p40.json": path(40), "c41.json": cycle(41), "grid5x7.json": grid(5, 7)}
+    expected = {
+        name: json.dumps(matrix_to_dict(eccentric.eccentricity_matrix(g)), indent=2) + "\n"
+        for name, g in graphs.items()
+    }
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("ecc --matrix built an n x n table")
+
+    monkeypatch.setattr(cli, "eccentricity_matrix", no_table)
+    monkeypatch.setattr(eccentric, "eccentricity_matrix", no_table)
+    monkeypatch.setattr(IntMatrix, "__init__", no_table)
+    for name, g in graphs.items():
+        assert main(["ecc", write_doc(tmp_path, name, g), "--matrix"]) == 0
+        assert capsys.readouterr().out == expected[name]
 
 
 def test_ecc_dot_golden_files(tmp_path, capsys):

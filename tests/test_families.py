@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
 from ecclab.eccentric import eccentric_graph
 from ecclab.errors import InputError
 from ecclab.families import (
+    _SIZES,
+    FAMILIES,
     FamilySpec,
     build_family,
     complete_bipartite,
@@ -47,6 +51,18 @@ def test_build_family_dispatch():
         build_family(FamilySpec("wheel", (5,)))
     with pytest.raises(InputError):
         build_family(FamilySpec("path", (3, 4)))
+
+
+def test_size_counts_match_the_built_graphs():
+    # The gen caps read these counts in place of the graph.
+    for family, build in FAMILIES.items():
+        arity = build.__code__.co_argcount
+        for params in itertools.product(range(1, 6), repeat=arity):
+            try:
+                g = build(*params)
+            except InputError:
+                continue
+            assert _SIZES[family](*params) == (g.num_vertices, g.num_edges), (family, params)
 
 
 def test_expected_eccentric_labeled_examples():

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import fraction_determinant
 from ecclab import invertibility
-from ecclab.eccentric import eccentricity_matrix
+from ecclab.eccentric import eccentric_graph, eccentricity_matrix
 from ecclab.errors import InputError, SizeCapError
 from ecclab.families import double_star, hypercube, path, star
 from ecclab.intmatrix import determinant, determinant_oracle
@@ -80,6 +80,28 @@ def test_star_probe_matches_block_form():
     probe = star_product_determinant_probe(3, 1)
     assert (probe.smallest_entry, probe.largest_entry) == (2, 3)
     assert abs(probe.computed_det) == 11664
+
+
+@pytest.mark.parametrize("num_p2", [1, 2, 3])
+def test_star_product_eccentric_graph_is_balanced_bipartite(num_p2):
+    # The premise of the probe's sign for j >= 1: each component of
+    # E(S_n box P_2^j) 2-colours with as many vertices of either colour.
+    for n_leaves in range(2, 16):
+        eg = eccentric_graph(cartesian_product([star(n_leaves)] + [path(2)] * num_p2)[0])
+        colour = [None] * eg.num_vertices
+        for root in range(eg.num_vertices):
+            if colour[root] is not None:
+                continue
+            colour[root] = 0
+            queue, sides = [root], [1, 0]
+            for u in queue:
+                for v in eg.adjacency[u]:
+                    if colour[v] is None:
+                        colour[v] = 1 - colour[u]
+                        sides[colour[v]] += 1
+                        queue.append(v)
+                    assert colour[v] != colour[u], (n_leaves, num_p2, u, v)
+            assert sides[0] == sides[1], (n_leaves, num_p2, root, sides)
 
 
 def test_star_probe_compares_the_sign(monkeypatch):

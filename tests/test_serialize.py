@@ -2,12 +2,13 @@ import json
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ecclab.errors import InputError
-from ecclab.eccentric import eccentricity_matrix
-from ecclab.families import cycle, grid, hypercube, path
+from ecclab.eccentric import eccentricity_matrix, eccentricity_rows
+from ecclab.families import complete, cycle, grid, hypercube, path, star
 from ecclab.graphs import build_graph
+from ecclab.products import cartesian_product
 from ecclab.intmatrix import IntMatrix
 from ecclab.serialize import (
     GraphDocument,
@@ -43,7 +44,8 @@ def documents(draw):
 @st.composite
 def matrices(draw):
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    entry = st.integers() | st.sampled_from([10**40, -(10**40)])
+    # Zero often enough for all-zero rows and runs of zeros.
+    entry = st.integers() | st.just(0) | st.sampled_from([10**40, -(10**40)])
     grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
     return IntMatrix(rows=rows, cols=cols, entries=tuple(map(tuple, grid)))
@@ -72,10 +74,35 @@ def test_graph_to_json_matches_the_indent_encoder(doc):
     assert graph_from_dict(json.loads(text)) == doc
 
 
+@st.composite
+def connected_graphs(draw):
+    """A random tree on up to 12 vertices, each vertex joined to an earlier
+    one, plus any further edges."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return build_graph(n, sorted(edges))
+
+
+def nonzero_entries(m):
+    return [[(v, x) for v, x in enumerate(row) if x] for row in m.entries]
+
+
+def eccentricity_matrix_json(graph):
+    return json.dumps(matrix_to_dict(eccentricity_matrix(graph)), indent=2) + "\n"
+
+
 @settings(max_examples=200)
 @given(matrices())
+@example(IntMatrix.from_rows([[0]]))
+@example(IntMatrix.from_rows([[7]]))
+@example(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
+@example(IntMatrix.from_rows([[3, 0, 0], [0, 0, 0], [0, 0, -3]]))
+@example(IntMatrix.from_rows([[1, 0, 2], [0, 5, 0], [4, 4, 4]]))
 def test_matrix_to_json_matches_the_indent_encoder(m):
-    assert matrix_to_json(m) == json.dumps(matrix_to_dict(m), indent=2) + "\n"
+    text = matrix_to_json(nonzero_entries(m), m.cols)
+    assert text == json.dumps(matrix_to_dict(m), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -83,13 +110,27 @@ def test_matrix_to_json_matches_the_indent_encoder(m):
     [path(n) for n in range(2, 41)]
     + [cycle(n) for n in range(3, 41)]
     + [grid(m, n) for m, n in ((2, 2), (3, 7), (6, 6), (9, 13), (17, 17))]
-    + [hypercube(5)],
+    + [hypercube(5)]
+    # Dense rows: every entry off the diagonal is 1.
+    + [pytest.param(complete(n), id=f"K{n}") for n in range(2, 9)]
+    + [
+        pytest.param(cartesian_product([star(n)] + [path(2)] * j)[0], id=f"S{n}xP2^{j}")
+        for n in (3, 7)
+        for j in (1, 2, 3)
+    ],
     ids=lambda g: f"{g.num_vertices}v{g.num_edges}e",
 )
 def test_eccentricity_matrix_json_matches_the_indent_encoder(graph):
     # Entries repeat along every row and reach two digits.
-    m = eccentricity_matrix(graph)
-    assert matrix_to_json(m) == json.dumps(matrix_to_dict(m), indent=2) + "\n"
+    text = matrix_to_json(eccentricity_rows(graph), graph.num_vertices)
+    assert text == eccentricity_matrix_json(graph)
+
+
+@settings(max_examples=200)
+@given(connected_graphs())
+def test_eccentricity_rows_json_on_random_connected_graphs(graph):
+    text = matrix_to_json(eccentricity_rows(graph), graph.num_vertices)
+    assert text == eccentricity_matrix_json(graph)
 
 
 def test_json_writers_on_edge_cases():
@@ -98,10 +139,13 @@ def test_json_writers_on_edge_cases():
         '{\n  "num_vertices": 1,\n  "edges": [],\n'
         '  "name": "q\\"\\\\\\u00e9",\n  "labels": [\n    ""\n  ]\n}\n'
     )
-    assert matrix_to_json(IntMatrix.from_rows([[0, -(10**40)]])) == (
+    assert matrix_to_json([[(1, -(10**40))]], 2) == (
         '{\n  "rows": 1,\n  "cols": 2,\n  "entries": [\n    [\n'
         '      "0",\n      "-1' + "0" * 40 + '"\n    ]\n  ]\n}\n'
     )
+    for rows, cols in (([], 3), ([[]], 0)):
+        with pytest.raises(InputError):
+            matrix_to_json(rows, cols)
 
 
 def test_malformed_documents():
