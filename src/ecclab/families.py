@@ -167,18 +167,12 @@ def build_family(spec: FamilySpec) -> Graph:
 
 def expected_eccentric(spec: FamilySpec) -> Graph:
     """Known eccentric graph of a family, with the family's own labeling."""
-    if spec.family == "path":
-        return _expected_path_eccentric(*spec.params)
-    if spec.family == "cycle":
-        return _expected_cycle_eccentric(*spec.params)
-    if spec.family == "complete":
-        return complete(*spec.params)
-    if spec.family == "complete_bipartite":
-        return _expected_bipartite_eccentric(*spec.params)
-    if spec.family == "star":
-        (n,) = spec.params
-        return complete(n + 1)
-    raise InputError(f"no closed-form eccentric graph for family {spec.family!r}")
+    if spec.family not in _EXPECTED:
+        raise InputError(f"no closed-form eccentric graph for family {spec.family!r}")
+    try:
+        return _EXPECTED[spec.family](*spec.params)
+    except TypeError as exc:
+        raise InputError(f"bad parameters for {spec.family}: {spec.params}") from exc
 
 
 def _expected_path_eccentric(n: int) -> Graph:
@@ -206,3 +200,17 @@ def _expected_bipartite_eccentric(s: int, t: int) -> Graph:
     edges = [(u, v) for u in range(s) for v in range(u + 1, s)]
     edges += [(s + u, s + v) for u in range(t) for v in range(u + 1, t)]
     return _graph_unchecked(s + t, edges)
+
+
+def _expected_star_eccentric(n: int) -> Graph:
+    """E(S_n) = K_{n+1}: every leaf is eccentric to every other vertex."""
+    return complete(n + 1)
+
+
+_EXPECTED = {
+    "path": _expected_path_eccentric,
+    "cycle": _expected_cycle_eccentric,
+    "complete": complete,
+    "complete_bipartite": _expected_bipartite_eccentric,
+    "star": _expected_star_eccentric,
+}

@@ -60,9 +60,22 @@ class ProductIndexMap:
         return tuple(reversed(strides))
 
     def flatten(self, coords: Sequence[int]) -> int:
-        return sum(x * s for x, s in zip(coords, self.strides))
+        """The flat index of ``coords``; InputError unless there is one
+        coordinate per factor, each in ``0..n_i-1``."""
+        if len(coords) != len(self.factor_sizes):
+            raise InputError(f"{len(coords)} coordinates for {len(self.factor_sizes)} factors")
+        index = 0
+        for x, n, s in zip(coords, self.factor_sizes, self.strides):
+            if not 0 <= x < n:
+                raise InputError(f"coordinate {x} outside 0..{n - 1}")
+            index += x * s
+        return index
 
     def unflatten(self, index: int) -> tuple[int, ...]:
+        """The coordinates of ``index``; InputError unless it is in
+        ``0..size-1``."""
+        if not 0 <= index < self.size:
+            raise InputError(f"index {index} outside 0..{self.size - 1}")
         coords = []
         for n, s in zip(self.factor_sizes, self.strides):
             coords.append((index // s) % n)

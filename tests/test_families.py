@@ -86,6 +86,21 @@ def test_expected_eccentric_labeled_examples():
         expected_eccentric(FamilySpec("grid", (3, 3)))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("cycle", ()),
+        FamilySpec("star", (2, 3)),
+        FamilySpec("path", (4, 5)),
+        FamilySpec("complete_bipartite", (3,)),
+        FamilySpec("star", ("x",)),
+    ],
+)
+def test_expected_eccentric_rejects_bad_parameters(spec):
+    with pytest.raises(InputError, match="bad parameters"):
+        expected_eccentric(spec)
+
+
 @pytest.mark.parametrize("n", range(2, 12))
 def test_catalog_paths(n):
     spec = FamilySpec("path", (n,))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import brute_force_girth
+from ecclab import graphs
 from ecclab.eccentric import eccentric_graph
 from ecclab.errors import DisconnectedGraphError, InputError
 from ecclab.families import complete, cycle, hypercube, path
@@ -102,6 +103,8 @@ def test_eccentric_sets_edge_cases():
         build_graph(2, []),
         build_graph(3, [(0, 1)]),
         build_graph(5, [(0, 1), (1, 2), (3, 4)]),
+        # Two P_40s: no ball is full at radius 16, so the balls double.
+        build_graph(80, [(i, i + 1) for i in range(79) if i != 39]),
     ],
 )
 def test_eccentric_sets_requires_connected(g):
@@ -119,6 +122,8 @@ def test_masked_eccentric_sets_on_p5():
 def test_masked_eccentric_sets_reject_bad_masks():
     with pytest.raises(DisconnectedGraphError):
         eccentric_sets(path(5), 0b10001)
+    with pytest.raises(DisconnectedGraphError):
+        eccentric_sets(path(100), ((1 << 100) - 1) ^ (1 << 50))
     for keep in (0, -1, 1 << 5, 0b100001):
         with pytest.raises(InputError):
             eccentric_sets(path(5), keep)
@@ -138,6 +143,50 @@ def test_eccentric_sets_match_bfs_on_products(factors):
     g, _ = cartesian_product(factors)
     assert 900 <= g.num_vertices <= 1024
     assert eccentric_sets(g) == bfs_eccentric_sets(g)
+
+
+@pytest.mark.parametrize("n", [*range(33, 41), 299, 300, 301])
+@pytest.mark.parametrize("family", [path, cycle])
+def test_eccentric_sets_match_bfs_past_the_doubling_radius(family, n):
+    g = family(n)
+    assert eccentric_sets(g) == bfs_eccentric_sets(g)
+
+
+def caterpillar(spine):
+    """A path of ``spine`` vertices, each with one pendant leaf."""
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)]
+    return build_graph(2 * spine, edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cartesian_product([path(3), path(40)])[0],
+        cartesian_product([cycle(5), cycle(60)])[0],
+        cartesian_product([path(5), path(60)])[0],
+        caterpillar(60),
+    ],
+    ids=["P3xP40", "C5xC60", "P5xP60", "caterpillar60"],
+)
+def test_eccentric_sets_match_bfs_when_a_doubled_ball_would_fill(g):
+    # Each radius exceeds 16 and each sphere is small, but a ball of
+    # radius 32 is full, so the doubling round is dropped.
+    assert eccentric_sets(g) == bfs_eccentric_sets(g)
+
+
+def test_eccentric_sets_doubles_only_past_radius_16(monkeypatch):
+    # ``members`` is called by the kernel only in its doubling rounds.
+    calls = []
+
+    def spy(mask):
+        calls.append(mask)
+        return members(mask)
+
+    monkeypatch.setattr(graphs, "members", spy)
+    eccentric_sets(random_tree(40, seed=0).graph)
+    assert calls == []
+    eccentric_sets(path(300))
+    assert calls
 
 
 def test_members():

@@ -32,6 +32,17 @@ def test_index_map_roundtrip():
     assert im.flatten((1, 2, 3)) == 33
 
 
+def test_index_map_rejects_out_of_range_input():
+    im = ProductIndexMap((2, 3))
+    for coords in ((1,), (1, 2, 0), (5, 9), (-1, 0), (0, 3), (2, 0)):
+        with pytest.raises(InputError):
+            im.flatten(coords)
+    for index in (-1, 6, 7):
+        with pytest.raises(InputError):
+            im.unflatten(index)
+    assert im.flatten((1, 2)) == 5 and im.unflatten(5) == (1, 2)
+
+
 def test_cartesian_p2_p2_is_c4():
     g, _ = cartesian_product([path(2), path(2)])
     assert g.num_vertices == 4 and girth(g) == 4

@@ -144,8 +144,18 @@ def relabelled_eccentric_sets(g, mask):
     return tuple(ecc), tuple(far)
 
 
+def sub_path(n, lo, hi):
+    """P_n and the bitset of its vertices lo..hi."""
+    return path(n), sum(1 << v for v in range(lo, hi + 1))
+
+
 @settings(max_examples=200)
 @given(connected_masks())
+# Sub-paths of P_120 with radii above 16, on which the balls double.
+@example(sub_path(120, 0, 119))
+@example(sub_path(120, 10, 109))
+@example(sub_path(120, 30, 70))
+@example(sub_path(120, 1, 40))
 def test_masked_eccentric_sets_match_the_relabelled_subgraph(case):
     g, mask = case
     assert eccentric_sets(g, mask) == relabelled_eccentric_sets(g, mask)
