@@ -12,6 +12,7 @@ triangle on the ends and the middle for odd n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InputError, SizeCapError
 from .graphs import Graph, _graph_unchecked
@@ -157,20 +158,24 @@ def build_family(spec: FamilySpec) -> Graph:
     caps of ``check_size``."""
     if spec.family not in FAMILIES:
         raise InputError(f"unknown family {spec.family!r}")
-    try:
-        counts = _SIZES[spec.family](*(max(p, 0) for p in spec.params))
-        check_size(spec.name, *counts)
-        return FAMILIES[spec.family](*spec.params)
-    except TypeError as exc:
-        raise InputError(f"bad parameters for {spec.family}: {spec.params}") from exc
+    return _build_within_caps(FAMILIES[spec.family], spec)
 
 
 def expected_eccentric(spec: FamilySpec) -> Graph:
-    """Known eccentric graph of a family, with the family's own labeling."""
+    """Known eccentric graph of a family, with the family's own labeling,
+    once the family's graph is within the caps of ``check_size``."""
     if spec.family not in _EXPECTED:
         raise InputError(f"no closed-form eccentric graph for family {spec.family!r}")
+    return _build_within_caps(_EXPECTED[spec.family], spec)
+
+
+def _build_within_caps(build: Callable[..., Graph], spec: FamilySpec) -> Graph:
+    """``build(*spec.params)`` after ``check_size`` has passed the family's
+    counts; a parameter list the family does not take is an InputError."""
     try:
-        return _EXPECTED[spec.family](*spec.params)
+        counts = _SIZES[spec.family](*(max(p, 0) for p in spec.params))
+        check_size(spec.name, *counts)
+        return build(*spec.params)
     except TypeError as exc:
         raise InputError(f"bad parameters for {spec.family}: {spec.params}") from exc
 

@@ -11,8 +11,14 @@ distances (the bit-parallel BFS idea of Akiba, Iwata and Yoshida, SIGMOD
 2013). When no ball is full at radius 16, it first doubles the radius in
 rounds of sphere joins, B_{2k}(v) from the balls B_k(w) of the vertices w
 on v's sphere of radius k, while a round costs no more ORs than the k
-single steps it replaces and no doubled ball is full: three rounds carry P_300's
-balls from radius 16 to 128 in place of 112 steps. The kernel also runs on
+single steps it replaces and no doubled ball is full: three rounds carry
+P_300's balls from radius 16 to 128 in place of 112 steps. When a doubled
+ball would be full, each vertex finishes alone by a greedy descent over
+the table of balls B_s at s = 1, 2, 4, ..., k, jumping from B_r(v) to
+B_{r+s}(v) by the balls B_s(w) of its sphere of radius r, exact as a
+doubling, while the ball stays short of full, if the single steps left
+would cost more (``_DESCENT_COST``): the ends of P_300, 170 steps past
+radius 128, take 9 attempts. The kernel also runs on
 the subgraph that a vertex bitset induces, on the parent graph's own
 adjacency and in its labels, so a subtree needs no relabelled copy of
 itself. ``all_pairs_distances`` keeps the per-source
@@ -165,6 +171,15 @@ def all_pairs_distances(g: Graph) -> DistanceData:
 # 9-40 vertices (2-vCPU VM, Python 3.11).
 _DOUBLING_RADIUS = 16
 
+# What the descent of ``_descend`` costs, in single-step ORs per vertex of
+# the spheres it starts from: its rebuilt small balls, and log2(k)+1
+# attempts per vertex with a sphere's member list made at each accepted
+# jump. On 38 paths, cycles, ladders, grids, caterpillars, spiders, brooms,
+# lollipops and trees of 34-600 vertices, the kernel alone ran slower with
+# the descent than with single steps where the single steps left came to
+# 26.5 such ORs or fewer, and faster from 27.2 on (2-vCPU VM, Python 3.11).
+_DESCENT_COST = 32
+
 
 def eccentric_sets(
     g: Graph, keep: Optional[int] = None
@@ -186,10 +201,16 @@ def eccentric_sets(
     If no ball is full at radius ``_DOUBLING_RADIUS`` (16), the radius
     first doubles in rounds, ``B_{2k}(v)`` joining the balls ``B_k(w)`` of
     the vertices w on v's sphere of radius k (see ``_doubled_balls``), while
-    a round costs no more ORs than the k single steps it replaces and no
-    doubled ball is full. The single steps then go on from the last radius;
-    a doubled ball is never full, so ``ecc`` and ``far`` still come from
-    single steps.
+    a round costs no more ORs than the k single steps it replaces. When a
+    doubled ball would be full, the round is dropped. If the single steps
+    left, estimated from the vertices the balls miss over those on their
+    spheres, would cost at least ``_DESCENT_COST`` ORs per sphere vertex,
+    every vertex finishes alone by a greedy descent (see ``_descend``): from
+    ``B_r(v)``, a jump of s = k, k/2, ..., 1 joins the balls ``B_s(w)`` of
+    v's sphere of radius r, exact by the doubling's argument, and is kept
+    only if it leaves the ball short of full, so r ends at e(v) - 1.
+    Otherwise, and when doubling stops for its cost, single steps go on
+    from the last radius.
     """
     adjacency = g.adjacency
     n = g.num_vertices
@@ -218,40 +239,51 @@ def eccentric_sets(
                 still.append(v)
             grown[v] = b
         if k == _DOUBLING_RADIUS and len(still) == full.bit_count():
-            k, grown = _doubled_balls(adjacency, full, still, k, ball, grown)
+            k, grown, still = _doubled_balls(g, full, still, ball, grown, ecc, far)
         ball = grown
         pending = still
     return tuple(ecc), tuple(far)
 
 
 def _doubled_balls(
-    adjacency: Sequence[Sequence[int]],
+    g: Graph,
     full: int,
     pending: list[int],
-    k: int,
     inner: list[int],
     ball: list[int],
-) -> tuple[int, list[int]]:
-    """Radius k doubled while it pays: from ``inner`` = B_{k-1} and
-    ``ball`` = B_k, none of them full, each round takes every vertex's
-    sphere ``S_k(v) = B_k(v) ^ B_{k-1}(v)`` and sets
+    ecc: list[int],
+    far: list[int],
+) -> tuple[int, list[int], list[int]]:
+    """Radius k = ``_DOUBLING_RADIUS`` doubled while it pays: from ``inner``
+    = B_{k-1} and ``ball`` = B_k, none of them full, each round takes every
+    vertex's sphere ``S_k(v) = B_k(v) ^ B_{k-1}(v)`` and sets
     ``B_{2k}(v) = B_k(v) | OR_{w in S_k(v)} B_k(w)``, and ``B_{2k-1}(v)``
     likewise from the ``B_{k-1}(w)``. That is exact: on a shortest path from
     v to a vertex u with k < d(v, u) <= 2k, the vertex at distance k from v
-    is in ``S_k(v)`` and within k of u. Returns the last radius and its
-    balls, all still short of ``full``.
+    is in ``S_k(v)`` and within k of u. Returns the last radius, its balls
+    and the vertices still pending there.
 
     Doubling stops when a round would cost more ORs, 2 per sphere vertex,
-    than the k single steps it replaces, deg(v) per vertex each; and when a
-    doubled ball would be full, which drops that round. A ball short of
-    full that does not grow has run out of its component, so
-    ``DisconnectedGraphError`` is raised.
+    than the k single steps it replaces, deg(v) per vertex each; the single
+    steps then go on. It also stops when a doubled ball would be full, which
+    drops the round. The pending balls then lack ``missing`` vertices and
+    their spheres hold ``sphere_sum``; were the spheres to keep their size,
+    single steps would take about missing / sphere_sum more steps per
+    vertex, at ``step_cost`` ORs a step. If that comes to at least
+    ``_DESCENT_COST`` ORs per sphere vertex, ``_descend`` finishes every
+    vertex into ``ecc`` and ``far`` and no vertex is left pending; else the
+    single steps go on. A ball short of full that does not grow has run out
+    of its component, so ``DisconnectedGraphError`` is raised.
     """
+    adjacency = g.adjacency
     step_cost = sum(len(adjacency[v]) for v in pending)
+    k = _DOUBLING_RADIUS
+    levels = [(inner, ball)]  # (B_{s-1}, B_s) at s = 16, 32, ..., k
     while True:
         spheres = [ball[v] ^ inner[v] for v in pending]
-        if 2 * sum(map(int.bit_count, spheres)) > k * step_cost:
-            return k, ball
+        sphere_sum = sum(map(int.bit_count, spheres))
+        if 2 * sphere_sum > k * step_cost:
+            return k, ball, pending
         sizes = [ball[v].bit_count() for v in pending]
         doubled = ball[:]
         doubled_inner = ball[:]
@@ -264,13 +296,94 @@ def _doubled_balls(
                 b |= ball[w]
                 b_inner |= inner[w]
             if b == full:
-                return k, ball
+                missing = len(pending) * full.bit_count() - sum(sizes)
+                if step_cost * missing < _DESCENT_COST * sphere_sum**2:
+                    return k, ball, pending
+                _descend(g, full, pending, levels, ecc, far)
+                return k, ball, []
             if b == old:
                 raise DisconnectedGraphError("eccentric_sets requires a connected graph")
             doubled[v] = b
             doubled_inner[v] = b_inner
         k *= 2
         inner, ball = doubled_inner, doubled
+        levels.append((inner, ball))
+
+
+def _descend(
+    g: Graph,
+    full: int,
+    pending: list[int],
+    doubled: list[tuple[list[int], list[int]]],
+    ecc: list[int],
+    far: list[int],
+) -> None:
+    """Every pending vertex's ``ecc`` and ``far`` by a greedy descent over
+    the balls ``(B_{s-1}, B_s)`` at s = 1, 2, 4, ..., k: the pairs of
+    ``doubled`` from s = ``_DOUBLING_RADIUS`` to the last radius k, at which
+    no ball is full, and those below it, rebuilt by ``_small_balls``.
+
+    From ``(B_{r-1}(v), B_r(v))`` a jump of s gives ``B_{r+s}(v) = B_r(v) |
+    OR_{w in S_r(v)} B_s(w)`` and ``B_{r+s-1}(v)`` likewise from the
+    ``B_{s-1}(w)``, exact as in ``_doubled_balls``. Each vertex starts at
+    r = k and tries the jumps from the largest down, the largest again while
+    it leaves the ball short of full, and keeps a jump only if it does: a
+    greedy sum of powers of two, so it ends at r = e(v) - 1, where
+    ``ecc[v] = r + 1`` and ``far[v] = full ^ B_r(v)``. A sphere's member
+    list serves every attempt from its radius. A jump that adds nothing to
+    a ball short of full raises ``DisconnectedGraphError``, as a single step
+    does; the descent starts only once a ball has been seen to fill, so on
+    exact balls no jump stalls, and the check stops a wrong one from
+    repeating the largest jump forever.
+    """
+    inner, ball = doubled[-1]
+    levels = _small_balls(g, full, pending) + doubled
+    top = len(levels) - 1
+    for v in pending:
+        r = 1 << top
+        b = ball[v]
+        sphere = members(b ^ inner[v])
+        j = top
+        while j >= 0:
+            low, high = levels[j]
+            jumped = b
+            for w in sphere:
+                jumped |= high[w]
+            if jumped == full:
+                j -= 1
+                continue
+            if jumped == b:
+                raise DisconnectedGraphError("eccentric_sets requires a connected graph")
+            for w in sphere:
+                b |= low[w]
+            sphere = members(jumped ^ b)
+            b = jumped
+            r += 1 << j
+            if j < top:
+                j -= 1
+        ecc[v] = r + 1
+        far[v] = full ^ b
+
+
+def _small_balls(g: Graph, full: int, pending: list[int]) -> list[tuple[list[int], list[int]]]:
+    """The balls ``(B_{s-1}, B_s)`` at s = 1, 2, 4, ... below
+    ``_DOUBLING_RADIUS``, which the single steps did not keep, by the first
+    half of those single steps again: 8 steps of deg(v) ORs per vertex,
+    whatever the spheres' sizes."""
+    adjacency = g.adjacency
+    ball = [full & 1 << v for v in range(g.num_vertices)]
+    levels = []
+    for s in range(1, _DOUBLING_RADIUS // 2 + 1):
+        grown = ball[:]
+        for v in pending:
+            b = ball[v]
+            for w in adjacency[v]:
+                b |= ball[w]
+            grown[v] = b
+        if s & (s - 1) == 0:
+            levels.append((ball, grown))
+        ball = grown
+    return levels
 
 
 def members(mask: int) -> list[int]:

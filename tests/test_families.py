@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from ecclab import families
 from ecclab.eccentric import eccentric_graph
-from ecclab.errors import InputError
+from ecclab.errors import InputError, SizeCapError
 from ecclab.families import (
     _SIZES,
     FAMILIES,
@@ -99,6 +100,18 @@ def test_expected_eccentric_labeled_examples():
 def test_expected_eccentric_rejects_bad_parameters(spec):
     with pytest.raises(InputError, match="bad parameters"):
         expected_eccentric(spec)
+
+
+def test_expected_eccentric_applies_the_size_caps_before_building(monkeypatch):
+    # K_1000 has 499,500 edges: refused from its counts, as by build_family,
+    # before any edge of it or of its eccentric graph is built.
+    built = []
+    monkeypatch.setitem(families._EXPECTED, "complete", lambda n: built.append(n))
+    spec = FamilySpec("complete", (1000,))
+    for call in (build_family, expected_eccentric):
+        with pytest.raises(SizeCapError, match="499500 edges exceeds the cap"):
+            call(spec)
+    assert built == []
 
 
 @pytest.mark.parametrize("n", range(2, 12))

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -105,6 +106,8 @@ def test_eccentric_sets_edge_cases():
         build_graph(5, [(0, 1), (1, 2), (3, 4)]),
         # Two P_40s: no ball is full at radius 16, so the balls double.
         build_graph(80, [(i, i + 1) for i in range(79) if i != 39]),
+        # Two P_300s: the balls double up to radius 256 and stop growing.
+        build_graph(600, [(i, i + 1) for i in range(599) if i != 299]),
     ],
 )
 def test_eccentric_sets_requires_connected(g):
@@ -124,6 +127,8 @@ def test_masked_eccentric_sets_reject_bad_masks():
         eccentric_sets(path(5), 0b10001)
     with pytest.raises(DisconnectedGraphError):
         eccentric_sets(path(100), ((1 << 100) - 1) ^ (1 << 50))
+    with pytest.raises(DisconnectedGraphError):
+        eccentric_sets(path(300), ((1 << 300) - 1) ^ (1 << 150))
     for keep in (0, -1, 1 << 5, 0b100001):
         with pytest.raises(InputError):
             eccentric_sets(path(5), keep)
@@ -145,11 +150,32 @@ def test_eccentric_sets_match_bfs_on_products(factors):
     assert eccentric_sets(g) == bfs_eccentric_sets(g)
 
 
-@pytest.mark.parametrize("n", [*range(33, 41), 299, 300, 301])
+# Paths and cycles whose doubling stops at radius 16 to 256, with tails from
+# 0 to 742 steps past it.
+TAIL_SIZES = [*range(33, 41), *range(129, 161), *range(255, 261), 299, 300, 301, 1000]
+
+
+@functools.lru_cache(maxsize=None)
+def family_and_oracle(family, n):
+    g = family(n)
+    return g, bfs_eccentric_sets(g)
+
+
+@pytest.mark.parametrize("n", TAIL_SIZES)
 @pytest.mark.parametrize("family", [path, cycle])
 def test_eccentric_sets_match_bfs_past_the_doubling_radius(family, n):
-    g = family(n)
-    assert eccentric_sets(g) == bfs_eccentric_sets(g)
+    g, expected = family_and_oracle(family, n)
+    assert eccentric_sets(g) == expected
+
+
+@pytest.mark.parametrize("n", TAIL_SIZES)
+@pytest.mark.parametrize("family", [path, cycle])
+def test_descent_matches_bfs_on_every_tail(family, n, monkeypatch):
+    # A descent cost of 0 sends every dropped round to the descent, however
+    # short the tail it replaces.
+    monkeypatch.setattr(graphs, "_DESCENT_COST", 0)
+    g, expected = family_and_oracle(family, n)
+    assert eccentric_sets(g) == expected
 
 
 def caterpillar(spine):
@@ -158,20 +184,72 @@ def caterpillar(spine):
     return build_graph(2 * spine, edges)
 
 
-@pytest.mark.parametrize(
+DROPPED_ROUNDS = pytest.mark.parametrize(
     "g",
     [
         cartesian_product([path(3), path(40)])[0],
         cartesian_product([cycle(5), cycle(60)])[0],
         cartesian_product([path(5), path(60)])[0],
         caterpillar(60),
+        caterpillar(300),
     ],
-    ids=["P3xP40", "C5xC60", "P5xP60", "caterpillar60"],
+    ids=["P3xP40", "C5xC60", "P5xP60", "caterpillar60", "caterpillar300"],
 )
+
+
+@DROPPED_ROUNDS
 def test_eccentric_sets_match_bfs_when_a_doubled_ball_would_fill(g):
-    # Each radius exceeds 16 and each sphere is small, but a ball of
-    # radius 32 is full, so the doubling round is dropped.
+    # Each radius exceeds 16 and each sphere is small, but a doubled ball
+    # is full (at radius 32, or 256 on the longer caterpillar), so the
+    # doubling round is dropped.
     assert eccentric_sets(g) == bfs_eccentric_sets(g)
+
+
+@DROPPED_ROUNDS
+def test_descent_matches_bfs_when_a_doubled_ball_would_fill(g, monkeypatch):
+    monkeypatch.setattr(graphs, "_DESCENT_COST", 0)
+    assert eccentric_sets(g) == bfs_eccentric_sets(g)
+
+
+def test_descent_runs_only_where_the_single_steps_left_cost_more(monkeypatch):
+    descended = []
+    real = graphs._descend
+    monkeypatch.setattr(graphs, "_descend", lambda g, *args: descended.append(g) or real(g, *args))
+    # Long tails descend: the ends of P_300 are up to 170 steps past
+    # radius 128, and C_1000's vertices 243 steps past radius 256.
+    long_tails = [path(100), path(300), cycle(241), cycle(1000), caterpillar(300)]
+    # Short tails take single steps: C_34 one, C_150 eleven, C_300 22; the
+    # ladders' and trees' spheres are too large for their tails.
+    short_tails = [path(34), cycle(34), cycle(150), cycle(300), caterpillar(60),
+                   cartesian_product([path(5), path(60)])[0], random_tree(300, seed=300).graph]
+    for g in long_tails + short_tails:
+        eccentric_sets(g)
+    assert descended == long_tails
+
+
+class CountingAdjacency(tuple):
+    """An adjacency whose reads are counted: the kernel reads a vertex's
+    neighbours once per single step of that vertex."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        CountingAdjacency.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+@pytest.mark.parametrize("family", [path, cycle])
+def test_eccentric_sets_take_no_single_step_past_radius_16_on_long_tails(family):
+    # The 16 single steps, the doubling's degree sum and the 8 steps that
+    # rebuild the descent's small balls read each vertex's neighbours 25
+    # times; single steps to the end would read them about e(v) times,
+    # 500-999 on P_1000 and 500 on C_1000.
+    g, expected = family_and_oracle(family, 1000)
+    counted = family(1000)
+    counted.__dict__["adjacency"] = CountingAdjacency(g.adjacency)
+    CountingAdjacency.reads = 0
+    assert eccentric_sets(counted) == expected
+    assert CountingAdjacency.reads <= (16 + 1 + 8) * 1000
 
 
 def test_eccentric_sets_doubles_only_past_radius_16(monkeypatch):

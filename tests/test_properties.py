@@ -144,9 +144,10 @@ def relabelled_eccentric_sets(g, mask):
     return tuple(ecc), tuple(far)
 
 
-def sub_path(n, lo, hi):
-    """P_n and the bitset of its vertices lo..hi."""
-    return path(n), sum(1 << v for v in range(lo, hi + 1))
+def sub_path(n, lo, hi, family=path):
+    """P_n, or another family's graph on n vertices, and the bitset of its
+    vertices lo..hi."""
+    return family(n), sum(1 << v for v in range(lo, hi + 1))
 
 
 @settings(max_examples=200)
@@ -156,6 +157,14 @@ def sub_path(n, lo, hi):
 @example(sub_path(120, 10, 109))
 @example(sub_path(120, 30, 70))
 @example(sub_path(120, 1, 40))
+# Sub-paths of P_300 and C_300 with radii above 64, on which the balls
+# double and then descend, and C_300 itself, which takes single steps.
+@example(sub_path(300, 0, 299))
+@example(sub_path(300, 20, 279))
+@example(sub_path(300, 7, 160))
+@example(sub_path(300, 0, 298, cycle))
+@example(sub_path(300, 50, 249, cycle))
+@example(sub_path(300, 0, 299, cycle))
 def test_masked_eccentric_sets_match_the_relabelled_subgraph(case):
     g, mask = case
     assert eccentric_sets(g, mask) == relabelled_eccentric_sets(g, mask)
