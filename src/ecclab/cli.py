@@ -45,10 +45,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if len(args.params) != 1:
             raise InputError("random-tree takes exactly one parameter (vertex count)")
         (n,) = args.params
-        name = f"random-tree({n}, seed={args.seed})"
+        seed = 0 if args.seed is None else args.seed
+        name = f"random-tree({n}, seed={seed})"
         check_size(name, n, n - 1)
-        t = random_tree(n, seed=args.seed)
+        t = random_tree(n, seed=seed)
         doc = GraphDocument(graph=t.graph, name=name)
+    elif args.seed is not None:
+        raise InputError(f"family {args.family!r} takes no seed; only random-tree does")
     else:
         spec = FamilySpec(family=args.family, params=tuple(args.params))
         doc = GraphDocument(graph=build_family(spec), name=spec.name)
@@ -61,8 +64,9 @@ def cmd_ecc(args: argparse.Namespace) -> int:
         raise InputError("--matrix writes JSON only, not --format dot")
     doc = load_graph(args.input)
     # One cap for both forms. At the cap, ecc peaked at 52 MB of RSS on
-    # P_4096 and 54 MB on C_4096, whose descent holds 22 lists of balls, and
-    # at 33 MB on Q_12 (2-vCPU VM, Python 3.11).
+    # P_4096 and 55 MB on C_4096, whose descent reads a table of 21 lists of
+    # balls, and at 45 MB on Q_12, whose single steps keep 7 of them until
+    # every ball fills at radius 12 (2-vCPU VM, Python 3.11).
     check_matrix_side(doc.graph.num_vertices)
     if args.matrix:
         rows = eccentricity_rows(doc.graph)
@@ -92,7 +96,21 @@ def cmd_product(args: argparse.Namespace) -> int:
 def cmd_det(args: argparse.Namespace) -> int:
     doc = load_graph(args.input)
     check_matrix_side(doc.graph.num_vertices)
-    sys.stdout.write(str(determinant(eccentricity_matrix(doc.graph))) + "\n")
+    det = determinant(eccentricity_matrix(doc.graph))
+    # A determinant can have more digits than the 4,300 that Python
+    # (3.11, and 3.10.7 on) converts to a string by default: det ε(C_1600)
+    # = 800^1600 has 4,645.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        text = str(det)
+    else:
+        old = limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = str(det)
+        finally:
+            sys.set_int_max_str_digits(old)
+    sys.stdout.write(text + "\n")
     return 0
 
 
@@ -130,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a named family graph as JSON")
     p_gen.add_argument("family", choices=GEN_FAMILIES)
     p_gen.add_argument("params", type=int, nargs="*")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, help="seed of random-tree (default 0)")
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=cmd_gen)
 

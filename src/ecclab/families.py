@@ -158,23 +158,31 @@ def build_family(spec: FamilySpec) -> Graph:
     caps of ``check_size``."""
     if spec.family not in FAMILIES:
         raise InputError(f"unknown family {spec.family!r}")
-    return _build_within_caps(FAMILIES[spec.family], spec)
+    return _build_within_caps(FAMILIES[spec.family], _SIZES[spec.family], spec.name, spec)
 
 
 def expected_eccentric(spec: FamilySpec) -> Graph:
     """Known eccentric graph of a family, with the family's own labeling,
-    once the family's graph is within the caps of ``check_size``."""
+    once that eccentric graph's own counts are within the caps of
+    ``check_size``: E(S_n) = K_{n+1} has far more edges than S_n."""
     if spec.family not in _EXPECTED:
         raise InputError(f"no closed-form eccentric graph for family {spec.family!r}")
-    return _build_within_caps(_EXPECTED[spec.family], spec)
+    build, sizes = _EXPECTED[spec.family], _EXPECTED_SIZES[spec.family]
+    return _build_within_caps(build, sizes, f"E({spec.name})", spec)
 
 
-def _build_within_caps(build: Callable[..., Graph], spec: FamilySpec) -> Graph:
-    """``build(*spec.params)`` after ``check_size`` has passed the family's
-    counts; a parameter list the family does not take is an InputError."""
+def _build_within_caps(
+    build: Callable[..., Graph],
+    sizes: Callable[..., tuple[int, int]],
+    name: str,
+    spec: FamilySpec,
+) -> Graph:
+    """``build(*spec.params)`` after ``check_size`` has passed the counts
+    ``sizes(*spec.params)`` of the graph ``name`` that it builds; a
+    parameter list the family does not take is an InputError."""
     try:
-        counts = _SIZES[spec.family](*(max(p, 0) for p in spec.params))
-        check_size(spec.name, *counts)
+        counts = sizes(*(max(p, 0) for p in spec.params))
+        check_size(name, *counts)
         return build(*spec.params)
     except TypeError as exc:
         raise InputError(f"bad parameters for {spec.family}: {spec.params}") from exc
@@ -218,4 +226,14 @@ _EXPECTED = {
     "complete": complete,
     "complete_bipartite": _expected_bipartite_eccentric,
     "star": _expected_star_eccentric,
+}
+
+# Vertex and edge counts of each family's eccentric graph, as ``_SIZES``
+# gives the family's own.
+_EXPECTED_SIZES = {
+    "path": lambda n: (n, n - 1 + n % 2),
+    "cycle": lambda n: (n, n if n % 2 else n // 2),
+    "complete": _SIZES["complete"],
+    "complete_bipartite": lambda s, t: (s + t, s * (s - 1) // 2 + t * (t - 1) // 2),
+    "star": lambda n: (n + 1, (n + 1) * n // 2),
 }

@@ -14,7 +14,8 @@ on v's sphere of radius k, while a round costs no more ORs than the k
 single steps it replaces and no doubled ball is full: three rounds carry
 P_300's balls from radius 16 to 128 in place of 112 steps. When a doubled
 ball would be full, each vertex finishes alone by a greedy descent over
-the table of balls B_s at s = 1, 2, 4, ..., k, jumping from B_r(v) to
+one table of balls B_s at s = 1, 2, 4, ..., k, which the single steps
+keep up to radius 16 and the doubling extends, jumping from B_r(v) to
 B_{r+s}(v) by the balls B_s(w) of its sphere of radius r, exact as a
 doubling, while the ball stays short of full, if the single steps left
 would cost more (``_DESCENT_COST``): the ends of P_300, 170 steps past
@@ -172,12 +173,14 @@ def all_pairs_distances(g: Graph) -> DistanceData:
 _DOUBLING_RADIUS = 16
 
 # What the descent of ``_descend`` costs, in single-step ORs per vertex of
-# the spheres it starts from: its rebuilt small balls, and log2(k)+1
-# attempts per vertex with a sphere's member list made at each accepted
-# jump. On 38 paths, cycles, ladders, grids, caterpillars, spiders, brooms,
-# lollipops and trees of 34-600 vertices, the kernel alone ran slower with
-# the descent than with single steps where the single steps left came to
-# 26.5 such ORs or fewer, and faster from 27.2 on (2-vCPU VM, Python 3.11).
+# the spheres it starts from: log2(k)+1 attempts per vertex with a sphere's
+# member list made at each accepted jump. On 38 paths, cycles, ladders,
+# grids, caterpillars, spiders, brooms, lollipops and trees of 34-600
+# vertices, the kernel alone ran slower with the descent than with single
+# steps where the single steps left came to 26.5 such ORs or fewer, and
+# faster from 27.2 on (2-vCPU VM, Python 3.11). That was measured while the
+# descent rebuilt the balls below radius 16 by 8 more single steps; it now
+# reads the ones the single steps kept, so 32 leans toward single steps.
 _DESCENT_COST = 32
 
 
@@ -197,6 +200,11 @@ def eccentric_sets(
     outside ``full`` gets ``ecc`` 0 and ``far`` 0. On one vertex ``ecc`` is 0
     and the vertex is eccentric to itself. A ball that stops growing before
     it is full raises ``DisconnectedGraphError``.
+
+    While no ball is full, the single steps keep the pairs ``(B_{s-1},
+    B_s)`` at s = 1, 2, 4, 8 and 16 in one table, which the doubling extends
+    and the descent reads; it is dropped at the first full ball, or when
+    the doubling hands back to single steps.
 
     If no ball is full at radius ``_DOUBLING_RADIUS`` (16), the radius
     first doubles in rounds, ``B_{2k}(v)`` joining the balls ``B_k(w)`` of
@@ -221,6 +229,7 @@ def eccentric_sets(
     far = [full if b else 0 for b in ball]
     pending = [v for v in range(n) if 0 < ball[v] != full]
     ecc = [0] * n
+    levels = []  # (B_{s-1}, B_s) at s = 1, 2, 4, 8, 16 while no ball is full
     k = 0
     while pending:
         k += 1
@@ -238,8 +247,13 @@ def eccentric_sets(
             else:
                 still.append(v)
             grown[v] = b
-        if k == _DOUBLING_RADIUS and len(still) == full.bit_count():
-            k, grown, still = _doubled_balls(g, full, still, ball, grown, ecc, far)
+        if k & (k - 1) == 0 and k <= _DOUBLING_RADIUS and len(still) == full.bit_count():
+            levels.append((ball, grown))
+            if k == _DOUBLING_RADIUS:
+                k, grown, still = _doubled_balls(g, full, still, levels, ecc, far)
+                levels = []
+        elif len(still) < len(pending):
+            levels = []
         ball = grown
         pending = still
     return tuple(ecc), tuple(far)
@@ -249,19 +263,19 @@ def _doubled_balls(
     g: Graph,
     full: int,
     pending: list[int],
-    inner: list[int],
-    ball: list[int],
+    levels: list[tuple[list[int], list[int]]],
     ecc: list[int],
     far: list[int],
 ) -> tuple[int, list[int], list[int]]:
-    """Radius k = ``_DOUBLING_RADIUS`` doubled while it pays: from ``inner``
-    = B_{k-1} and ``ball`` = B_k, none of them full, each round takes every
-    vertex's sphere ``S_k(v) = B_k(v) ^ B_{k-1}(v)`` and sets
-    ``B_{2k}(v) = B_k(v) | OR_{w in S_k(v)} B_k(w)``, and ``B_{2k-1}(v)``
-    likewise from the ``B_{k-1}(w)``. That is exact: on a shortest path from
-    v to a vertex u with k < d(v, u) <= 2k, the vertex at distance k from v
-    is in ``S_k(v)`` and within k of u. Returns the last radius, its balls
-    and the vertices still pending there.
+    """Radius k = ``_DOUBLING_RADIUS`` doubled while it pays: from the last
+    pair of the table ``levels``, (B_{k-1}, B_k) with no ball full, each
+    round takes every vertex's sphere ``S_k(v) = B_k(v) ^ B_{k-1}(v)`` and
+    sets ``B_{2k}(v) = B_k(v) | OR_{w in S_k(v)} B_k(w)``, and
+    ``B_{2k-1}(v)`` likewise from the ``B_{k-1}(w)``, and appends that pair
+    to ``levels``. That is exact: on a shortest path from v to a vertex u
+    with k < d(v, u) <= 2k, the vertex at distance k from v is in ``S_k(v)``
+    and within k of u. Returns the last radius, its balls and the vertices
+    still pending there.
 
     Doubling stops when a round would cost more ORs, 2 per sphere vertex,
     than the k single steps it replaces, deg(v) per vertex each; the single
@@ -278,7 +292,7 @@ def _doubled_balls(
     adjacency = g.adjacency
     step_cost = sum(len(adjacency[v]) for v in pending)
     k = _DOUBLING_RADIUS
-    levels = [(inner, ball)]  # (B_{s-1}, B_s) at s = 16, 32, ..., k
+    inner, ball = levels[-1]
     while True:
         spheres = [ball[v] ^ inner[v] for v in pending]
         sphere_sum = sum(map(int.bit_count, spheres))
@@ -299,7 +313,7 @@ def _doubled_balls(
                 missing = len(pending) * full.bit_count() - sum(sizes)
                 if step_cost * missing < _DESCENT_COST * sphere_sum**2:
                     return k, ball, pending
-                _descend(g, full, pending, levels, ecc, far)
+                _descend(full, pending, levels, ecc, far)
                 return k, ball, []
             if b == old:
                 raise DisconnectedGraphError("eccentric_sets requires a connected graph")
@@ -311,17 +325,17 @@ def _doubled_balls(
 
 
 def _descend(
-    g: Graph,
     full: int,
     pending: list[int],
-    doubled: list[tuple[list[int], list[int]]],
+    levels: list[tuple[list[int], list[int]]],
     ecc: list[int],
     far: list[int],
 ) -> None:
     """Every pending vertex's ``ecc`` and ``far`` by a greedy descent over
-    the balls ``(B_{s-1}, B_s)`` at s = 1, 2, 4, ..., k: the pairs of
-    ``doubled`` from s = ``_DOUBLING_RADIUS`` to the last radius k, at which
-    no ball is full, and those below it, rebuilt by ``_small_balls``.
+    the table ``levels`` of balls ``(B_{s-1}, B_s)`` at s = 1, 2, 4, ..., k:
+    those the single steps of ``eccentric_sets`` kept up to
+    ``_DOUBLING_RADIUS``, then the doubled ones up to the last radius k, at
+    which no ball is full.
 
     From ``(B_{r-1}(v), B_r(v))`` a jump of s gives ``B_{r+s}(v) = B_r(v) |
     OR_{w in S_r(v)} B_s(w)`` and ``B_{r+s-1}(v)`` likewise from the
@@ -336,8 +350,7 @@ def _descend(
     exact balls no jump stalls, and the check stops a wrong one from
     repeating the largest jump forever.
     """
-    inner, ball = doubled[-1]
-    levels = _small_balls(g, full, pending) + doubled
+    inner, ball = levels[-1]
     top = len(levels) - 1
     for v in pending:
         r = 1 << top
@@ -363,27 +376,6 @@ def _descend(
                 j -= 1
         ecc[v] = r + 1
         far[v] = full ^ b
-
-
-def _small_balls(g: Graph, full: int, pending: list[int]) -> list[tuple[list[int], list[int]]]:
-    """The balls ``(B_{s-1}, B_s)`` at s = 1, 2, 4, ... below
-    ``_DOUBLING_RADIUS``, which the single steps did not keep, by the first
-    half of those single steps again: 8 steps of deg(v) ORs per vertex,
-    whatever the spheres' sizes."""
-    adjacency = g.adjacency
-    ball = [full & 1 << v for v in range(g.num_vertices)]
-    levels = []
-    for s in range(1, _DOUBLING_RADIUS // 2 + 1):
-        grown = ball[:]
-        for v in pending:
-            b = ball[v]
-            for w in adjacency[v]:
-                b |= ball[w]
-            grown[v] = b
-        if s & (s - 1) == 0:
-            levels.append((ball, grown))
-        ball = grown
-    return levels
 
 
 def members(mask: int) -> list[int]:

@@ -52,6 +52,17 @@ def test_gen_random_tree_deterministic(tmp_path):
     assert load_graph(str(a)).graph == load_graph(str(b)).graph
 
 
+@pytest.mark.parametrize("family", ["path", "cycle", "star", "grid", "hypercube"])
+def test_gen_refuses_a_seed_on_a_fixed_family_exit_2(tmp_path, capsys, family):
+    # Only random-tree reads a seed; the other families are fixed graphs.
+    out = tmp_path / "g.json"
+    assert main(["gen", family, "3", *(["3"] if family == "grid" else []),
+                 "--seed", "5", "-o", str(out)]) == 2
+    message = f"family {family!r} takes no seed; only random-tree does"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_bad_params_exit_2(capsys):
     assert main(["gen", "cycle", "2"]) == 2
     assert "error" in capsys.readouterr().err
@@ -159,6 +170,16 @@ def test_det_exact_output(tmp_path, capsys):
     p2 = write_doc(tmp_path, "p2.json", path(2))
     assert main(["det", p2]) == 0
     assert capsys.readouterr().out == "-1\n"
+
+
+def test_det_prints_more_digits_than_int_to_str_allows_by_default(tmp_path, capsys):
+    # det ε(C_1600) = 800^1600 has 4,645 digits, over the 4,300 that Python
+    # (3.11, and 3.10.7 on) converts by default. 800^1600 = 2^4800 · 10^3200,
+    # and 2^4800 has 1,445 digits, so the expected text needs no lifted limit.
+    doc = tmp_path / "c1600.json"
+    assert main(["gen", "cycle", "1600", "-o", str(doc)]) == 0
+    assert main(["det", str(doc)]) == 0
+    assert capsys.readouterr().out == f"{2 ** 4800}{'0' * 3200}\n"
 
 
 def test_det_p5_p2_singular(tmp_path, capsys):

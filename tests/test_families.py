@@ -1,4 +1,6 @@
 import itertools
+import re
+import time
 
 import pytest
 
@@ -112,6 +114,36 @@ def test_expected_eccentric_applies_the_size_caps_before_building(monkeypatch):
         with pytest.raises(SizeCapError, match="499500 edges exceeds the cap"):
             call(spec)
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "spec, edges",
+    [
+        (FamilySpec("star", (2000,)), 2001000),
+        (FamilySpec("complete_bipartite", (2, 3000)), 4498501),
+    ],
+)
+def test_expected_eccentric_caps_the_eccentric_graphs_own_edges(spec, edges):
+    # S_2000 and K_{2,3000} are within the caps, but E(S_2000) = K_2001 and
+    # E(K_{2,3000}) = K_2 + K_3000 are not: refused from their counts.
+    start = time.perf_counter()
+    message = re.escape(f"E({spec.name}) with {edges} edges exceeds the cap")
+    with pytest.raises(SizeCapError, match=message):
+        expected_eccentric(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_expected_sizes_match_the_built_eccentric_graphs():
+    # The caps of ``expected_eccentric`` read these counts in place of E(G).
+    for family, build in families._EXPECTED.items():
+        arity = build.__code__.co_argcount
+        for params in itertools.product(range(1, 7), repeat=arity):
+            try:
+                g = build(*params)
+            except InputError:
+                continue
+            counts = families._EXPECTED_SIZES[family](*params)
+            assert counts == (g.num_vertices, g.num_edges), (family, params)
 
 
 @pytest.mark.parametrize("n", range(2, 12))
