@@ -4,6 +4,7 @@ from .eccentric import (
     EccentricityProfile,
     eccentric_girth,
     eccentric_graph,
+    eccentricity_determinant,
     eccentricity_matrix,
     eccentricity_profile,
 )

@@ -1,4 +1,4 @@
-"""Eccentric graph and eccentricity matrix of a connected graph.
+"""Eccentric graph, eccentricity matrix and its determinant, of a connected graph.
 
 A vertex u is *eccentric to* v when d(u,v) = e(v); the relation is not
 symmetric. The eccentric graph joins u and v when either is eccentric to
@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import InputError
 from .graphs import Graph, _graph_from_bitsets, bitset_girth, eccentric_sets, members
-from .intmatrix import IntMatrix
+from .intmatrix import IntMatrix, block_determinant
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,32 @@ def eccentricity_matrix(g: Graph) -> IntMatrix:
             row[v] = eu if eu < ev else ev
         rows.append(tuple(row))
     return IntMatrix(rows=n, cols=n, entries=tuple(rows))
+
+
+def eccentricity_determinant(g: Graph) -> int:
+    """det ε(g), exact, with no n x n table.
+
+    ε(g)'s nonzero pattern is E(g), so its blocks are E(g)'s components,
+    and each block's grid is filled from E(g)'s neighbour bitsets with the
+    entry min(e(u), e(v)) on an edge uv. ε(g) is symmetric, so a bipartite
+    block [[0, B], [Bᵀ, 0]] builds only B."""
+    ecc, nbrs = eccentric_adjacency(g)
+    column = [0] * len(nbrs)
+
+    def grid(xs: list[int], ys: list[int]) -> list[list[int]]:
+        for j, v in enumerate(ys):
+            column[v] = j
+        rows = []
+        for u in xs:
+            row = [0] * len(ys)
+            eu = ecc[u]
+            for v in members(nbrs[u]):
+                ev = ecc[v]
+                row[column[v]] = eu if eu < ev else ev
+            rows.append(row)
+        return rows
+
+    return block_determinant(nbrs, grid, symmetric=True)
 
 
 def eccentric_girth(g: Graph) -> int:

@@ -1,20 +1,24 @@
 """Dense arbitrary-precision integer matrices and exact determinants.
 
 Python ints are unbounded, so everything here is exact by construction.
-``determinant`` splits a matrix into the blocks of its nonzero pattern,
-found by the bitset flood fill of ``graphs``, and multiplies their
-determinants: a bipartite block [[0, B], [C, 0]] needs only B and C, and
-only B when C is B transposed, as in an eccentricity matrix. Each block
-left is one Bareiss run, which keeps intermediate values fraction-free and
-skips the rows that are zero in the pivot column. A Leibniz-expansion
-oracle (capped at 9x9) provides the independent verification path.
+``block_determinant`` takes a matrix as the neighbour bitsets of its
+symmetrised nonzero pattern and a function that fills one block's grid. It
+splits the pattern into components, found by the bitset flood fill of
+``graphs``, and multiplies their determinants: a bipartite block
+[[0, B], [C, 0]] needs only B and C, and only B when C is B transposed, as
+in an eccentricity matrix. Each block left is one Bareiss run, which keeps
+intermediate values fraction-free and skips the rows that are zero in the
+pivot column. ``determinant`` feeds it a dense ``IntMatrix``;
+``eccentric.eccentricity_determinant`` feeds it ε(G) from E(G), with no
+n x n table. The oracle, the Leibniz sum over permutations computed by
+shared minors (capped at 9x9), provides the independent verification path.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InputError, UnsupportedSizeError
 from .graphs import _component_masks, members
@@ -63,14 +67,9 @@ def determinant(m: IntMatrix) -> int:
     that m's nonzero pattern falls into.
 
     The pattern is the graph in which i ~ j when a[i][j] or a[j][i] is
-    nonzero. Ordering the vertices component by component is a symmetric
-    permutation, which keeps the determinant and makes m block-diagonal
-    with one block per component. A zero row or column gives 0 at once. A
-    bipartite component with sides X and Y is [[0, B], [C, 0]], so its
-    determinant is 0 when |X| != |Y| and otherwise (-1)^|X| det B det C;
-    when C is B transposed, as in every symmetric matrix, det C = det B and
-    one Bareiss run of side |X| is enough. Any other component is one
-    Bareiss run on its own rows and columns.
+    nonzero. A zero row or column gives 0 at once; otherwise
+    ``block_determinant`` multiplies the blocks' determinants, checking for
+    each bipartite block whether C is B transposed.
     """
     if not m.is_square:
         raise InputError("determinant requires a square matrix")
@@ -88,6 +87,30 @@ def determinant(m: IntMatrix) -> int:
         if not row or not col:
             return 0
         nbrs.append(row | col)
+    return block_determinant(
+        nbrs, lambda xs, ys: [[a[x][y] for y in ys] for x in xs], symmetric=False
+    )
+
+
+def block_determinant(
+    nbrs: list[int],
+    grid: Callable[[list[int], list[int]], list[list[int]]],
+    symmetric: bool,
+) -> int:
+    """Determinant of the matrix whose nonzero pattern, made symmetric, is
+    the graph with neighbour bitsets ``nbrs``, and whose submatrix on rows
+    xs and columns ys is ``grid(xs, ys)``, a fresh list of lists.
+
+    Ordering the vertices component by component is a symmetric
+    permutation, which keeps the determinant and makes the matrix
+    block-diagonal with one block per component. A bipartite component
+    with sides X and Y is [[0, B], [C, 0]], so its determinant is 0 when
+    |X| != |Y| and otherwise (-1)^|X| det B det C. When C is B transposed,
+    as in every symmetric matrix, det C = det B and one Bareiss run of side
+    |X| is enough: with ``symmetric`` set, C is never built; without it, C
+    is built and compared with B transposed. Any other component is one
+    Bareiss run on its own rows and columns.
+    """
     det = 1
     for block, even in _component_masks(nbrs):
         odd = block ^ even
@@ -95,15 +118,18 @@ def determinant(m: IntMatrix) -> int:
             xs, ys = members(even), members(odd)
             if len(xs) != len(ys):
                 return 0
-            b = [[a[x][y] for y in ys] for x in xs]
-            c = [[a[y][x] for x in xs] for y in ys]
-            same = c == [list(col) for col in zip(*b)]
-            det_b = _bareiss(b)
-            det_c = det_b if same else _bareiss(c)
+            b = grid(xs, ys)
+            if symmetric:
+                det_b = det_c = _bareiss(b)
+            else:
+                c = grid(ys, xs)
+                same = c == [list(col) for col in zip(*b)]
+                det_b = _bareiss(b)
+                det_c = det_b if same else _bareiss(c)
             det *= -det_b * det_c if len(xs) % 2 else det_b * det_c
         else:
             vs = members(block)
-            det *= _bareiss([[a[i][j] for j in vs] for i in vs])
+            det *= _bareiss(grid(vs, vs))
         if not det:
             return 0
     return det
@@ -161,38 +187,34 @@ def _bareiss(a: list[list[int]]) -> int:
 
 
 def determinant_oracle(m: IntMatrix) -> int:
-    """Signed permutation (Leibniz) expansion; limited to 9x9."""
+    """The Leibniz sum over permutations, by shared minors; limited to 9x9.
+
+    Rows are taken in order. After i rows, ``minors[used]`` is the sum of
+    the products a[0][p(0)] ... a[i-1][p(i-1)] over the injections
+    p of those rows onto the column set ``used``, each signed by its
+    inversions: the minor on rows 0..i-1 and the columns of ``used``. Row i
+    extends each minor by a column j not in ``used`` with a nonzero entry;
+    the sign flips once for each used column above j, the inversions that
+    j adds. Every permutation's term is counted once, but the terms that
+    agree on their first rows share one product, so the sum takes at most
+    2^n * n multiplications instead of n! * n.
+    """
     if not m.is_square:
         raise InputError("determinant requires a square matrix")
     if m.rows > ORACLE_SIZE_LIMIT:
         raise UnsupportedSizeError(f"oracle limited to {ORACLE_SIZE_LIMIT}x{ORACLE_SIZE_LIMIT}")
-    n = m.rows
-    entries = m.entries
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        term = 1
-        for i in range(n):
-            term *= entries[i][perm[i]]
-            if term == 0:
-                break
-        if term == 0:
-            continue
-        total += term if _permutation_sign(perm) > 0 else -term
-    return total
-
-
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        cycle = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
+    minors = {0: 1}
+    for row in m.entries:
+        nonzero = [(1 << j, x) for j, x in enumerate(row) if x]
+        extended: dict[int, int] = {}
+        get = extended.get
+        for used, minor in minors.items():
+            for bit, x in nonzero:
+                if not used & bit:
+                    # used & -bit: the used columns above this one.
+                    if (used & -bit).bit_count() % 2:
+                        extended[used | bit] = get(used | bit, 0) - minor * x
+                    else:
+                        extended[used | bit] = get(used | bit, 0) + minor * x
+        minors = extended
+    return minors.get((1 << m.rows) - 1, 0)

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .eccentric import eccentricity_matrix
+from .eccentric import eccentricity_determinant
 from .errors import InputError, SizeCapError
 from .families import path, star
-from .graphs import Graph
-from .intmatrix import determinant
+from .graphs import Graph, eccentric_sets
 from .products import cartesian_product
 from .trees import Tree, is_p2, is_p4, is_star
 
@@ -61,7 +60,7 @@ def _product_graph(factor_trees: Sequence[Tree]) -> Graph:
 def check_invertibility_classification(factor_trees: Sequence[Tree]) -> InvertibilityCheck:
     """Compare the star/P_4 prediction with the exact determinant."""
     predicted = predicted_invertible(factor_trees)
-    det = determinant(eccentricity_matrix(_product_graph(factor_trees)))
+    det = eccentricity_determinant(_product_graph(factor_trees))
     computed = det != 0
     return InvertibilityCheck(
         predicted=predicted, computed=computed, agree=predicted == computed, det=det
@@ -83,9 +82,12 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
     """Compare det E(S_n box P_2^j) with its closed form.
 
     The closed form is sigma * (n * a^2 * b^(n-1)) ^ (2^j) with a = j+1 and
-    b = j+2, the matrix's smallest nonzero and largest entries, which the
-    probe reports as read off the matrix. The sign sigma is (-1)^n for
-    j = 0, (-1)^(n+1) for j = 1 and +1 for j >= 2:
+    b = j+2, the matrix's smallest nonzero and largest entries. The probe
+    reads them off E(G)'s rows with no matrix built: row v of ε(G) is e(v)
+    at the vertices eccentric to v and nowhere exceeds e(v), so the
+    smallest nonzero entry is G's radius and the largest its diameter.
+    The sign sigma is (-1)^n for j = 0, (-1)^(n+1) for j = 1 and +1 for
+    j >= 2:
 
     - j = 0: with the center first, E(S_n) = [[0, 1^T], [1, 2(J - I)]]. The
       Schur complement of the n x n block D = 2(J - I), for which
@@ -93,7 +95,7 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
       det = -det D * 1^T D^-1 1 = (-1)^n n 2^(n-1).
     - j >= 1: every component of E(S_n box P_2^j) is bipartite with sides
       of equal size (the tests check n = 2..15, j = 1..3). By
-      ``determinant``'s block rule a component with sides X, Y gives
+      ``block_determinant``'s rule a component with sides X, Y gives
       (-1)^|X| det(B)^2, so sigma = (-1)^(N/2) with N = (n+1) 2^j: that is
       (-1)^(n+1) for j = 1, and +1 for j >= 2, where N/2 is even.
     """
@@ -102,8 +104,9 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
     if num_p2 not in (0, 1, 2, 3):
         raise InputError("num_p2 must be in 0..3")
     factors = [Tree(star(n_leaves))] + [Tree(path(2))] * num_p2
-    matrix = eccentricity_matrix(_product_graph(factors))
-    det = determinant(matrix)
+    g = _product_graph(factors)
+    det = eccentricity_determinant(g)
+    ecc = eccentric_sets(g)[0]
     a, b = num_p2 + 1, num_p2 + 2
     sign = 1 if num_p2 >= 2 else (-1) ** (n_leaves + num_p2)
     predicted = sign * (n_leaves * a * a * b ** (n_leaves - 1)) ** (2**num_p2)
@@ -112,8 +115,8 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
         n_leaves=n_leaves,
         num_p2=num_p2,
         computed_det=det,
-        smallest_entry=min(min(filter(None, row)) for row in matrix.entries),
-        largest_entry=max(map(max, matrix.entries)),
+        smallest_entry=min(ecc),
+        largest_entry=max(ecc),
         factored_form=form,
         matches=det == predicted,
     )

@@ -3,10 +3,11 @@ import time
 
 import pytest
 
-from ecclab import cli, eccentric
+from ecclab import cli, eccentric, intmatrix
 from ecclab.cli import build_parser, main
-from ecclab.families import EDGE_CAP, cycle, grid, path, star
+from ecclab.families import EDGE_CAP, complete, cycle, grid, path, star
 from ecclab.intmatrix import IntMatrix
+from ecclab.products import cartesian_product
 from ecclab.serialize import GraphDocument, load_graph, matrix_to_dict, save_graph
 
 # E(P_8) is the double star with centers 0 and 7; E(P_9) is the triangle
@@ -110,7 +111,7 @@ def test_ecc_matrix_builds_no_dense_table(tmp_path, capsys, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("ecc --matrix built an n x n table")
 
-    monkeypatch.setattr(cli, "eccentricity_matrix", no_table)
+    monkeypatch.setattr(cli, "eccentricity_determinant", no_table)
     monkeypatch.setattr(eccentric, "eccentricity_matrix", no_table)
     monkeypatch.setattr(IntMatrix, "__init__", no_table)
     for name, g in graphs.items():
@@ -172,6 +173,30 @@ def test_det_exact_output(tmp_path, capsys):
     assert capsys.readouterr().out == "-1\n"
 
 
+def test_det_builds_no_dense_table(tmp_path, capsys, monkeypatch):
+    graphs = {
+        "p40.json": path(40),
+        "c41.json": cycle(41),
+        "grid5x7.json": grid(5, 7),
+        "s7p2p2p2.json": cartesian_product([star(7)] + [path(2)] * 3)[0],
+        "k2.json": complete(2),
+    }
+    expected = {
+        name: f"{intmatrix.determinant(eccentric.eccentricity_matrix(g))}\n"
+        for name, g in graphs.items()
+    }
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("det built an n x n table")
+
+    monkeypatch.setattr(eccentric, "eccentricity_matrix", no_table)
+    monkeypatch.setattr(IntMatrix, "__init__", no_table)
+    monkeypatch.setattr(intmatrix, "determinant", no_table)
+    for name, g in graphs.items():
+        assert main(["det", write_doc(tmp_path, name, g)]) == 0
+        assert capsys.readouterr().out == expected[name]
+
+
 def test_det_prints_more_digits_than_int_to_str_allows_by_default(tmp_path, capsys):
     # det ε(C_1600) = 800^1600 has 4,645 digits, over the 4,300 that Python
     # (3.11, and 3.10.7 on) converts by default. 800^1600 = 2^4800 · 10^3200,
@@ -183,8 +208,6 @@ def test_det_prints_more_digits_than_int_to_str_allows_by_default(tmp_path, caps
 
 
 def test_det_p5_p2_singular(tmp_path, capsys):
-    from ecclab.products import cartesian_product
-
     product, _ = cartesian_product([path(5), path(2)])
     doc = write_doc(tmp_path, "prod.json", product)
     assert main(["det", doc]) == 0

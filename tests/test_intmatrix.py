@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import hypothesis.strategies as st
@@ -59,6 +60,41 @@ def test_oracle_size_limit():
     with pytest.raises(UnsupportedSizeError):
         determinant_oracle(identity(10))
     assert determinant_oracle(identity(9)) == 1
+
+
+def test_oracle_matches_fractions_on_randoms():
+    # Elimination over fractions shares no step with the Leibniz sum, nor
+    # with Bareiss.
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        rows = [list(row) for row in rand_matrix(rng, n, 4).entries]
+        kind = rng.choice(["plain", "zero row", "zero column", "rank deficient", "sparse"])
+        if kind == "zero row":
+            rows[rng.randrange(n)] = [0] * n
+        elif kind == "zero column":
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        elif kind == "rank deficient" and n > 1:
+            # The last row is a combination of up to n - 1 of the others.
+            others = rng.sample(range(n - 1), rng.randint(1, n - 1))
+            coef = {i: rng.randint(-2, 2) for i in others}
+            rows[-1] = [sum(c * rows[i][j] for i, c in coef.items()) for j in range(n)]
+        elif kind == "sparse":
+            rows = [[x if rng.random() < 0.3 else 0 for x in row] for row in rows]
+        expected = fraction_determinant(rows)
+        if kind in ("zero row", "zero column") or (kind == "rank deficient" and n > 1):
+            assert expected == 0
+        assert determinant_oracle(IntMatrix.from_rows(rows)) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_oracle_signs_every_permutation_matrix(n):
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        m = IntMatrix.from_rows([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+        assert determinant_oracle(m) == (-1) ** inversions
 
 
 def test_bareiss_agrees_with_oracle_on_randoms():

@@ -2,10 +2,10 @@ import pytest
 
 from conftest import fraction_determinant
 from ecclab import invertibility
-from ecclab.eccentric import eccentric_graph, eccentricity_matrix
+from ecclab.eccentric import eccentric_graph, eccentricity_determinant, eccentricity_matrix
 from ecclab.errors import InputError, SizeCapError
 from ecclab.families import double_star, hypercube, path, star
-from ecclab.intmatrix import determinant, determinant_oracle
+from ecclab.intmatrix import determinant_oracle
 from ecclab.invertibility import (
     check_invertibility_classification,
     predicted_invertible,
@@ -76,6 +76,8 @@ def test_star_probe_matches_block_form():
         m = eccentricity_matrix(g)
         oracle = determinant_oracle(m) if m.rows <= 9 else fraction_determinant(m.entries)
         assert probe.computed_det == oracle
+        assert probe.smallest_entry == min(min(filter(None, row)) for row in m.entries)
+        assert probe.largest_entry == max(map(max, m.entries))
     # S_3 box P_2: entries 2 (center-leaf) and 3 (leaf-leaf), |det| = (3*4*3^2)^2.
     probe = star_product_determinant_probe(3, 1)
     assert (probe.smallest_entry, probe.largest_entry) == (2, 3)
@@ -105,7 +107,9 @@ def test_star_product_eccentric_graph_is_balanced_bipartite(num_p2):
 
 
 def test_star_probe_compares_the_sign(monkeypatch):
-    monkeypatch.setattr(invertibility, "determinant", lambda m: -determinant(m))
+    monkeypatch.setattr(
+        invertibility, "eccentricity_determinant", lambda g: -eccentricity_determinant(g)
+    )
     probe = star_product_determinant_probe(3, 1)
     assert abs(probe.computed_det) == 11664
     assert not probe.matches

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import brute_force_girth
-from ecclab.eccentric import eccentric_graph
+from ecclab.eccentric import eccentric_graph, eccentricity_determinant, eccentricity_matrix
 from ecclab.errors import DisconnectedGraphError
 from ecclab.families import complete, cycle, path
 from ecclab.graphs import (
@@ -226,6 +226,11 @@ sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
 def test_sparse_bareiss_matches_leibniz(rows):
     m = IntMatrix.from_rows(rows)
     assert determinant(m) == determinant_oracle(m)
+
+
+@given(graphs(max_vertices=9, connected=True))
+def test_eccentricity_determinant_matches_leibniz(g):
+    assert eccentricity_determinant(g) == determinant_oracle(eccentricity_matrix(g))
 
 
 @given(st.lists(st.integers(2, 6), min_size=1, max_size=4))
