@@ -13,8 +13,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .graphs import Graph, _graph_from_bitsets, bitset_girth, eccentric_sets, members
-from .intmatrix import IntMatrix, block_determinant
+from .graphs import (
+    Graph,
+    _component_masks,
+    _graph_from_bitsets,
+    bitset_girth,
+    eccentric_sets,
+    members,
+)
+from .intmatrix import IntMatrix, _bareiss
 
 
 @dataclass(frozen=True)
@@ -101,11 +108,20 @@ def eccentricity_matrix(g: Graph) -> IntMatrix:
 def eccentricity_determinant(g: Graph) -> int:
     """det ε(g), exact, with no n x n table.
 
-    ε(g)'s nonzero pattern is E(g), so its blocks are E(g)'s components,
-    and each block's grid is filled from E(g)'s neighbour bitsets with the
-    entry min(e(u), e(v)) on an edge uv. ε(g) is symmetric, so a bipartite
-    block [[0, B], [Bᵀ, 0]] builds only B."""
-    ecc, nbrs = eccentric_adjacency(g)
+    ε(g)'s nonzero pattern is E(g), so ordering the vertices component by
+    component of E(g), a symmetric permutation that keeps the determinant,
+    makes ε(g) block-diagonal with one block per component, and each
+    block's grid is filled from E(g)'s neighbour bitsets with the entry
+    min(e(u), e(v)) on an edge uv. A bipartite component with sides X and
+    Y is [[0, B], [Bᵀ, 0]], ε(g) being symmetric: its determinant is 0
+    when |X| != |Y| and otherwise (-1)^|X| det(B)^2, one Bareiss run of
+    side |X|. Any other component is one Bareiss run on the whole block."""
+    return _adjacency_determinant(*eccentric_adjacency(g))
+
+
+def _adjacency_determinant(ecc: tuple[int, ...], nbrs: list[int]) -> int:
+    """``eccentricity_determinant`` from the eccentricities and E(g)'s
+    neighbour bitsets that ``eccentric_adjacency`` returns."""
     column = [0] * len(nbrs)
 
     def grid(xs: list[int], ys: list[int]) -> list[list[int]]:
@@ -121,7 +137,22 @@ def eccentricity_determinant(g: Graph) -> int:
             rows.append(row)
         return rows
 
-    return block_determinant(nbrs, grid, symmetric=True)
+    det = 1
+    for block, even in _component_masks(nbrs):
+        odd = block ^ even
+        xs, ys = members(even), members(odd)
+        # Bipartite iff no edge has both ends on one side.
+        if any(nbrs[v] & even for v in xs) or any(nbrs[v] & odd for v in ys):
+            vs = members(block)
+            det *= _bareiss(grid(vs, vs))
+        elif len(xs) != len(ys):
+            return 0
+        else:
+            det_b = _bareiss(grid(xs, ys))
+            det *= -det_b * det_b if len(xs) % 2 else det_b * det_b
+        if not det:
+            return 0
+    return det
 
 
 def eccentric_girth(g: Graph) -> int:

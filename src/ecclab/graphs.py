@@ -29,8 +29,9 @@ algorithm, ``bitset_girth``: a layered BFS over neighbour bitsets, which
 ``girth`` runs on a ``Graph`` and the eccentric-graph code runs on E(G)'s
 bitsets directly. Components have one flood fill over neighbour bitsets,
 ``_component_masks``, behind ``connected_components``, ``is_connected``,
-girth's forest test and ``intmatrix.block_determinant``'s blocks; it also gives
-each component's even-layer mask, the two sides of a bipartite one.
+girth's forest test and ``eccentric.eccentricity_determinant``'s blocks; it
+also gives each component's even-layer mask, the two sides of a bipartite
+one.
 """
 
 from __future__ import annotations

@@ -1,27 +1,20 @@
 """Dense arbitrary-precision integer matrices and exact determinants.
 
 Python ints are unbounded, so everything here is exact by construction.
-``block_determinant`` takes a matrix as the neighbour bitsets of its
-symmetrised nonzero pattern and a function that fills one block's grid. It
-splits the pattern into components, found by the bitset flood fill of
-``graphs``, and multiplies their determinants: a bipartite block
-[[0, B], [C, 0]] needs only B and C, and only B when C is B transposed, as
-in an eccentricity matrix. Each block left is one Bareiss run, which keeps
-intermediate values fraction-free and skips the rows that are zero in the
-pivot column. ``determinant`` feeds it a dense ``IntMatrix``;
-``eccentric.eccentricity_determinant`` feeds it ε(G) from E(G), with no
-n x n table. The oracle, the Leibniz sum over permutations computed by
-shared minors (capped at 9x9), provides the independent verification path.
+``determinant`` is one Bareiss run, which keeps intermediate values
+fraction-free and skips the rows that are zero in the pivot column; it
+knows nothing of graphs. ``eccentric.eccentricity_determinant`` runs the
+same ``_bareiss`` on the blocks of ε(G), filled from E(G) with no n x n
+table. The oracle, the Leibniz sum over permutations computed by shared
+minors (capped at 9x9), provides the independent verification path.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import InputError, UnsupportedSizeError
-from .graphs import _component_masks, members
 
 ORACLE_SIZE_LIMIT = 9
 
@@ -63,82 +56,10 @@ def kronecker_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant: the product of the determinants of the blocks
-    that m's nonzero pattern falls into.
-
-    The pattern is the graph in which i ~ j when a[i][j] or a[j][i] is
-    nonzero. A zero row or column gives 0 at once; otherwise
-    ``block_determinant`` multiplies the blocks' determinants, checking for
-    each bipartite block whether C is B transposed.
-    """
+    """Exact determinant: one Bareiss run on a copy of m's rows."""
     if not m.is_square:
         raise InputError("determinant requires a square matrix")
-    n = m.rows
-    a = m.entries
-    # One '0'/'1' digit per entry, row-major: row i is a slice, column i a
-    # stride, and a reversed slice parses to its bitset (bit j for entry j).
-    digits = bytes(map(bool, itertools.chain.from_iterable(a))).translate(
-        bytes.maketrans(b"\0\1", b"01")
-    )
-    nbrs = []
-    for i in range(n):
-        row = int(digits[i * n:(i + 1) * n][::-1], 2)
-        col = int(digits[i::n][::-1], 2)
-        if not row or not col:
-            return 0
-        nbrs.append(row | col)
-    return block_determinant(
-        nbrs, lambda xs, ys: [[a[x][y] for y in ys] for x in xs], symmetric=False
-    )
-
-
-def block_determinant(
-    nbrs: list[int],
-    grid: Callable[[list[int], list[int]], list[list[int]]],
-    symmetric: bool,
-) -> int:
-    """Determinant of the matrix whose nonzero pattern, made symmetric, is
-    the graph with neighbour bitsets ``nbrs``, and whose submatrix on rows
-    xs and columns ys is ``grid(xs, ys)``, a fresh list of lists.
-
-    Ordering the vertices component by component is a symmetric
-    permutation, which keeps the determinant and makes the matrix
-    block-diagonal with one block per component. A bipartite component
-    with sides X and Y is [[0, B], [C, 0]], so its determinant is 0 when
-    |X| != |Y| and otherwise (-1)^|X| det B det C. When C is B transposed,
-    as in every symmetric matrix, det C = det B and one Bareiss run of side
-    |X| is enough: with ``symmetric`` set, C is never built; without it, C
-    is built and compared with B transposed. Any other component is one
-    Bareiss run on its own rows and columns.
-    """
-    det = 1
-    for block, even in _component_masks(nbrs):
-        odd = block ^ even
-        if _independent(nbrs, even) and _independent(nbrs, odd):
-            xs, ys = members(even), members(odd)
-            if len(xs) != len(ys):
-                return 0
-            b = grid(xs, ys)
-            if symmetric:
-                det_b = det_c = _bareiss(b)
-            else:
-                c = grid(ys, xs)
-                same = c == [list(col) for col in zip(*b)]
-                det_b = _bareiss(b)
-                det_c = det_b if same else _bareiss(c)
-            det *= -det_b * det_c if len(xs) % 2 else det_b * det_c
-        else:
-            vs = members(block)
-            det *= _bareiss(grid(vs, vs))
-        if not det:
-            return 0
-    return det
-
-
-def _independent(nbrs: list[int], side: int) -> bool:
-    """True iff no edge of the pattern, a loop (nonzero diagonal entry)
-    included, has both ends in the bitset ``side``."""
-    return all(not nbrs[v] & side for v in members(side))
+    return _bareiss([list(row) for row in m.entries])
 
 
 def _bareiss(a: list[list[int]]) -> int:

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .eccentric import eccentricity_determinant
+from .eccentric import _adjacency_determinant, eccentric_adjacency, eccentricity_determinant
 from .errors import InputError, SizeCapError
 from .families import path, star
-from .graphs import Graph, eccentric_sets
+from .graphs import Graph
 from .products import cartesian_product
 from .trees import Tree, is_p2, is_p4, is_star
 
@@ -83,9 +83,10 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
 
     The closed form is sigma * (n * a^2 * b^(n-1)) ^ (2^j) with a = j+1 and
     b = j+2, the matrix's smallest nonzero and largest entries. The probe
-    reads them off E(G)'s rows with no matrix built: row v of ε(G) is e(v)
-    at the vertices eccentric to v and nowhere exceeds e(v), so the
-    smallest nonzero entry is G's radius and the largest its diameter.
+    reads them off the eccentricities of the one kernel run that also gives
+    the determinant, with no matrix built: row v of ε(G) is e(v) at the
+    vertices eccentric to v and nowhere exceeds e(v), so the smallest
+    nonzero entry is G's radius and the largest its diameter.
     The sign sigma is (-1)^n for j = 0, (-1)^(n+1) for j = 1 and +1 for
     j >= 2:
 
@@ -95,7 +96,7 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
       det = -det D * 1^T D^-1 1 = (-1)^n n 2^(n-1).
     - j >= 1: every component of E(S_n box P_2^j) is bipartite with sides
       of equal size (the tests check n = 2..15, j = 1..3). By
-      ``block_determinant``'s rule a component with sides X, Y gives
+      ``eccentricity_determinant``'s rule a component with sides X, Y gives
       (-1)^|X| det(B)^2, so sigma = (-1)^(N/2) with N = (n+1) 2^j: that is
       (-1)^(n+1) for j = 1, and +1 for j >= 2, where N/2 is even.
     """
@@ -105,8 +106,8 @@ def star_product_determinant_probe(n_leaves: int, num_p2: int) -> DeterminantPro
         raise InputError("num_p2 must be in 0..3")
     factors = [Tree(star(n_leaves))] + [Tree(path(2))] * num_p2
     g = _product_graph(factors)
-    det = eccentricity_determinant(g)
-    ecc = eccentric_sets(g)[0]
+    ecc, nbrs = eccentric_adjacency(g)
+    det = _adjacency_determinant(ecc, nbrs)
     a, b = num_p2 + 1, num_p2 + 2
     sign = 1 if num_p2 >= 2 else (-1) ** (n_leaves + num_p2)
     predicted = sign * (n_leaves * a * a * b ** (n_leaves - 1)) ** (2**num_p2)

@@ -6,12 +6,23 @@ from ecclab import eccentric, graphs, products, trees
 from ecclab.eccentric import (
     eccentric_girth,
     eccentric_graph,
+    eccentricity_determinant,
     eccentricity_matrix,
     eccentricity_profile,
 )
 from ecclab.errors import DisconnectedGraphError, InputError
-from ecclab.families import complete, cycle, path, star
+from ecclab.families import (
+    complete,
+    complete_bipartite,
+    cycle,
+    double_star,
+    grid,
+    hypercube,
+    path,
+    star,
+)
 from ecclab.graphs import Graph, all_pairs_distances, build_graph
+from ecclab.intmatrix import determinant
 from ecclab.products import (
     cartesian_product,
     check_kronecker_correspondence,
@@ -99,6 +110,37 @@ def test_matrix_entries_match_eccentric_graph_support():
     for u in range(7):
         for v in range(7):
             assert (m.entries[u][v] != 0) == eg.has_edge(u, v)
+
+
+# Every branch of the block split in ``eccentricity_determinant``. E(P_n)
+# is a balanced bipartite tree for even n and has a triangle for odd n;
+# E(C_n) is n/2 copies of K_2 for even n and an odd cycle for odd n, whose
+# edge inside a side lies on the even side for n = 5, 9, 13 and on the odd
+# side for the others; E(Q_k) is 2^(k-1) copies of K_2; a double star with
+# s != t leaves is a bipartite block with unequal sides; E(S_n) is one
+# block that is not bipartite; K_{2,t} mixes both kinds of block.
+SPLIT_GRAPHS = {
+    **{f"P_{n}": path(n) for n in range(2, 12)},
+    **{f"C_{n}": cycle(n) for n in range(3, 16)},
+    **{f"Q_{k}": hypercube(k) for k in range(3, 7)},
+    "grid 8x8": grid(8, 8),
+    "grid 9x9": grid(9, 9),
+    **{
+        f"S_{n} x P_2^{j}": cartesian_product([star(n)] + [path(2)] * j)[0]
+        for n, j in ((3, 1), (4, 1), (5, 2), (6, 3))
+    },
+    **{f"K_{s},{t}": complete_bipartite(s, t) for s, t in ((2, 3), (2, 5), (3, 3), (4, 4))},
+    **{f"S_{n}": star(n) for n in (3, 4, 9)},
+    **{f"double star {s},{t}": double_star(s, t) for s, t in ((1, 3), (2, 3), (2, 2))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GRAPHS))
+def test_eccentricity_determinant_matches_dense_bareiss(name):
+    # The dense determinant is one Bareiss run on the whole matrix: an
+    # oracle that runs none of the split's code.
+    g = SPLIT_GRAPHS[name]
+    assert eccentricity_determinant(g) == determinant(eccentricity_matrix(g))
 
 
 def test_eccentric_girth():

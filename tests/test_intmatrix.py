@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import fraction_determinant
-from ecclab import intmatrix
-from ecclab.eccentric import eccentricity_matrix
+from ecclab import eccentric
+from ecclab.eccentric import eccentricity_determinant, eccentricity_matrix
 from ecclab.errors import InputError, UnsupportedSizeError
 from ecclab.families import double_star, path, star
 from ecclab.intmatrix import (
@@ -239,18 +239,18 @@ def test_p4_times_p2_powers(j):
 
 
 def test_one_half_side_run_per_bipartite_block(monkeypatch):
-    # E(S_31 box P_2^3) is symmetric and its pattern is K_32 x K_2^3: four
-    # bipartite components, each with two sides of 32 vertices.
+    # E(S_31 box P_2^3) is K_32 x K_2^3: four bipartite components, each
+    # with two sides of 32 vertices.
     sides = []
-    real = intmatrix._bareiss
+    real = eccentric._bareiss
 
     def counted(a):
         sides.append(len(a))
         return real(a)
 
-    monkeypatch.setattr(intmatrix, "_bareiss", counted)
-    m = eccentricity_matrix(cartesian_product([star(31)] + [path(2)] * 3)[0])
-    assert determinant(m) == (31 * 4 ** 2 * 5 ** 30) ** 8
+    monkeypatch.setattr(eccentric, "_bareiss", counted)
+    g = cartesian_product([star(31)] + [path(2)] * 3)[0]
+    assert eccentricity_determinant(g) == (31 * 4 ** 2 * 5 ** 30) ** 8
     assert sides == [32] * 4
 
 

@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 
 from conftest import fraction_determinant
-from ecclab import invertibility
-from ecclab.eccentric import eccentric_graph, eccentricity_determinant, eccentricity_matrix
+from ecclab import graphs, invertibility
+from ecclab.eccentric import eccentric_graph, eccentricity_matrix
 from ecclab.errors import InputError, SizeCapError
 from ecclab.families import double_star, hypercube, path, star
 from ecclab.intmatrix import determinant_oracle
@@ -107,12 +109,32 @@ def test_star_product_eccentric_graph_is_balanced_bipartite(num_p2):
 
 
 def test_star_probe_compares_the_sign(monkeypatch):
+    real = invertibility._adjacency_determinant
     monkeypatch.setattr(
-        invertibility, "eccentricity_determinant", lambda g: -eccentricity_determinant(g)
+        invertibility, "_adjacency_determinant", lambda ecc, nbrs: -real(ecc, nbrs)
     )
     probe = star_product_determinant_probe(3, 1)
     assert abs(probe.computed_det) == 11664
     assert not probe.matches
+
+
+def test_star_probe_runs_the_kernel_once(monkeypatch):
+    # Count the kernel through every module binding of it.
+    runs = []
+    real = graphs.eccentric_sets
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("ecclab") and getattr(module, "eccentric_sets", None) is real:
+            monkeypatch.setattr(module, "eccentric_sets", counted)
+    probe = star_product_determinant_probe(7, 2)
+    assert probe.matches
+    assert (probe.smallest_entry, probe.largest_entry) == (3, 4)
+    assert len(runs) == 1
 
 
 def test_star_probe_validation():

@@ -47,3 +47,9 @@ def test_package_imports_have_no_cycle():
     except graphlib.CycleError as exc:
         # The cycle lists each module before the modules that import it.
         pytest.fail("import cycle: " + " imports ".join(reversed(exc.args[1])))
+
+
+def test_intmatrix_imports_only_errors():
+    # Matrices know nothing of graphs: that ε(G)'s blocks are E(G)'s
+    # components is known in ``eccentric`` alone.
+    assert package_imports(MODULES["intmatrix"]) == {"errors"}

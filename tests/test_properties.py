@@ -233,6 +233,13 @@ def test_eccentricity_determinant_matches_leibniz(g):
     assert eccentricity_determinant(g) == determinant_oracle(eccentricity_matrix(g))
 
 
+@given(graphs(min_vertices=10, max_vertices=40, connected=True))
+def test_eccentricity_determinant_matches_dense_bareiss(g):
+    # Past the Leibniz oracle's 9x9 limit: the dense determinant is one
+    # Bareiss run on the whole matrix, which runs none of the split's code.
+    assert eccentricity_determinant(g) == determinant(eccentricity_matrix(g))
+
+
 @given(st.lists(st.integers(2, 6), min_size=1, max_size=4))
 def test_index_map_bijection(sizes):
     im = ProductIndexMap(tuple(sizes))
