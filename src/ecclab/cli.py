@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from .eccentric import eccentric_graph, eccentricity_determinant, eccentricity_rows
 from .errors import EcclabError, InputError
-from .families import FAMILIES, FamilySpec, build_family, check_size
-from .invertibility import check_matrix_side
+from .families import FAMILIES, FamilySpec, build_family
+from .graphs import check_matrix_side, check_size
 from .products import cartesian_product, kronecker_product_graph
 from .serialize import (
     GraphDocument,
@@ -62,10 +62,14 @@ def cmd_ecc(args: argparse.Namespace) -> int:
     if args.matrix and args.format == "dot":
         raise InputError("--matrix writes JSON only, not --format dot")
     doc = load_graph(args.input)
-    # One cap for both forms. At the cap, ecc peaked at 52 MB of RSS on
-    # P_4096 and 55 MB on C_4096, whose descent reads a table of 21 lists of
-    # balls, and at 45 MB on Q_12, whose single steps keep 7 of them until
-    # every ball fills at radius 12 (2-vCPU VM, Python 3.11).
+    # One side cap for both forms, before the kernel. At the cap, ecc peaked
+    # at 52 MB of RSS on P_4096 and 55 MB on C_4096, whose descent reads a
+    # table of 21 lists of balls, and at 45 MB on Q_12, whose single steps
+    # keep 7 of them until every ball fills at radius 12 (2-vCPU VM, Python
+    # 3.11). A sparse G can have a dense E(G), so both forms also count
+    # E(G)'s edges from its bitsets and refuse more than EDGE_CAP before
+    # building any: unrefused, the 8,386,560 of E(S_4095) took 15.5 s and
+    # 2.55 GB.
     check_matrix_side(doc.graph.num_vertices)
     if args.matrix:
         rows = eccentricity_rows(doc.graph)

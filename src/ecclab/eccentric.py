@@ -18,6 +18,7 @@ from .graphs import (
     _component_masks,
     _graph_from_bitsets,
     bitset_girth,
+    check_size,
     eccentric_sets,
     members,
 )
@@ -68,16 +69,21 @@ def eccentric_adjacency(
 
 
 def eccentric_graph(g: Graph) -> Graph:
-    """Graph joining u,v whenever d(u,v) = min(e(u), e(v))."""
+    """Graph joining u,v whenever d(u,v) = min(e(u), e(v)), once its edges,
+    counted from E(g)'s bitsets, are within the caps of ``check_size``."""
     _, nbrs = eccentric_adjacency(g)
+    check_size("E(G)", len(nbrs), sum(map(int.bit_count, nbrs)) // 2)
     return _graph_from_bitsets(nbrs)
 
 
 def eccentricity_rows(g: Graph) -> list[list[tuple[int, int]]]:
     """The eccentricity matrix by its nonzero entries: row u lists the
     pairs (v, min(e(u), e(v))) for the neighbours v of u in E(g), in
-    ascending v. A row has deg_E(u) entries, where the matrix has n."""
+    ascending v. A row has deg_E(u) entries, where the matrix has n. E(g)'s
+    edges are held to the caps of ``check_size`` first, as by
+    ``eccentric_graph``."""
     ecc, nbrs = eccentric_adjacency(g)
+    check_size("E(G)", len(nbrs), sum(map(int.bit_count, nbrs)) // 2)
     rows = []
     for u, mask in enumerate(nbrs):
         eu = ecc[u]
@@ -86,21 +92,15 @@ def eccentricity_rows(g: Graph) -> list[list[tuple[int, int]]]:
 
 
 def eccentricity_matrix(g: Graph) -> IntMatrix:
-    """Distance matrix with entries zeroed unless they attain min(e(u), e(v)).
-
-    On an eccentric-graph edge the distance is min(e(u), e(v)), so no
-    distance table is needed. The rows are filled here rather than from
-    ``eccentricity_rows``, whose (v, entry) pairs would cost a dense
-    matrix more than they save."""
-    ecc, nbrs = eccentric_adjacency(g)
+    """Distance matrix with entries zeroed unless they attain min(e(u), e(v)):
+    ``eccentricity_rows`` written out densely, so no distance table is
+    needed."""
     n = g.num_vertices
     rows = []
-    for u, mask in enumerate(nbrs):
+    for sparse in eccentricity_rows(g):
         row = [0] * n
-        eu = ecc[u]
-        for v in members(mask):
-            ev = ecc[v]
-            row[v] = eu if eu < ev else ev
+        for v, x in sparse:
+            row[v] = x
         rows.append(tuple(row))
     return IntMatrix(rows=n, cols=n, entries=tuple(rows))
 

@@ -22,7 +22,7 @@ class UnsupportedSizeError(EcclabError, ValueError):
 
 
 class SizeCapError(EcclabError, RuntimeError):
-    """A product or matrix would exceed the configured resource cap."""
+    """A graph or matrix would exceed one of the size caps of ``graphs``."""
 
 
 class PreconditionError(EcclabError, ValueError):

@@ -14,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InputError, SizeCapError
-from .graphs import Graph, _graph_unchecked
-from .products import DEFAULT_SIZE_CAP, _path_far_ends, cartesian_product
-
-# A generated graph's edge cap: K_707's 249,571 edges take about a second
-# to build and write as JSON on a 2-vCPU VM.
-EDGE_CAP = 250_000
+from .errors import InputError
+from .graphs import Graph, _graph_unchecked, check_size
+from .products import _path_far_ends, cartesian_product
 
 
 @dataclass(frozen=True)
@@ -136,21 +132,6 @@ _SIZES = {
     "grid": lambda m, n: (m * n, m * (n - 1) + n * (m - 1)),
     "hypercube": _hypercube_size,
 }
-
-
-def _count_text(count: int) -> str:
-    return str(count) if count.bit_length() <= 64 else "more than 2^64"
-
-
-def check_size(name: str, vertices: int, edges: int) -> None:
-    """Raise SizeCapError for a graph of more than DEFAULT_SIZE_CAP
-    vertices or EDGE_CAP edges, before any edge is built."""
-    if vertices > DEFAULT_SIZE_CAP:
-        raise SizeCapError(
-            f"{name} on {_count_text(vertices)} vertices exceeds the cap of {DEFAULT_SIZE_CAP}"
-        )
-    if edges > EDGE_CAP:
-        raise SizeCapError(f"{name} with {_count_text(edges)} edges exceeds the cap of {EDGE_CAP}")
 
 
 def build_family(spec: FamilySpec) -> Graph:

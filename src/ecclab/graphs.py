@@ -32,6 +32,12 @@ bitsets directly. Components have one flood fill over neighbour bitsets,
 girth's forest test and ``eccentric.eccentricity_determinant``'s blocks; it
 also gives each component's even-layer mask, the two sides of a bipartite
 one.
+
+The size policy lives here too, one check per kind of cap: every graph
+that ecclab builds from counts, a family, a product or an eccentric graph,
+passes ``check_size`` before any edge of it exists, and every graph whose
+eccentricity matrix the CLI or the invertibility checks read passes
+``check_matrix_side``.
 """
 
 from __future__ import annotations
@@ -40,7 +46,39 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import DisconnectedGraphError, InputError
+from .errors import DisconnectedGraphError, InputError, SizeCapError
+
+# The vertex cap of a built graph.
+DEFAULT_SIZE_CAP = 20_000
+
+# A built graph's edge cap: K_707's 249,571 edges take about a second to
+# build and write as JSON on a 2-vCPU VM.
+EDGE_CAP = 250_000
+
+# The side cap of an eccentricity matrix, that is, its graph's vertex count.
+MATRIX_SIDE_CAP = 4096
+
+
+def _count_text(count: int) -> str:
+    return str(count) if count.bit_length() <= 64 else "more than 2^64"
+
+
+def check_size(name: str, vertices: int, edges: int) -> None:
+    """Raise SizeCapError for a graph of more than DEFAULT_SIZE_CAP
+    vertices or EDGE_CAP edges, before any edge is built."""
+    if vertices > DEFAULT_SIZE_CAP:
+        raise SizeCapError(
+            f"{name} on {_count_text(vertices)} vertices exceeds the cap of {DEFAULT_SIZE_CAP}"
+        )
+    if edges > EDGE_CAP:
+        raise SizeCapError(f"{name} with {_count_text(edges)} edges exceeds the cap of {EDGE_CAP}")
+
+
+def check_matrix_side(side: int) -> None:
+    """Raise SizeCapError for a graph of more than MATRIX_SIDE_CAP vertices,
+    the side of its eccentricity matrix."""
+    if side > MATRIX_SIDE_CAP:
+        raise SizeCapError(f"{side} vertices exceed the cap of {MATRIX_SIDE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -72,10 +110,6 @@ class Graph:
             nbrs[v] |= 1 << u
         return tuple(nbrs)
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -84,9 +118,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return ((u, v) if u < v else (v, u)) in self.edge_set
+        return bool(self.neighbour_bitsets[u] >> v & 1)
 
 
 def _graph_from_bitsets(nbrs: Sequence[int]) -> Graph:

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .eccentric import _adjacency_determinant, eccentric_adjacency, eccentricity_determinant
-from .errors import InputError, SizeCapError
+from .errors import InputError
 from .families import path, star
-from .graphs import Graph
+from .graphs import Graph, check_matrix_side
 from .products import cartesian_product
 from .trees import Tree, is_p2, is_p4, is_star
-
-MATRIX_SIDE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -41,15 +39,9 @@ def predicted_invertible(factor_trees: Sequence[Tree]) -> bool:
     return False
 
 
-def check_matrix_side(side: int) -> None:
-    """Raise SizeCapError for a graph of more than MATRIX_SIDE_CAP vertices,
-    the side of its eccentricity matrix."""
-    if side > MATRIX_SIDE_CAP:
-        raise SizeCapError(f"{side} vertices exceed the cap of {MATRIX_SIDE_CAP}")
-
-
 def _product_graph(factor_trees: Sequence[Tree]) -> Graph:
-    """The product of the trees, once its side is within MATRIX_SIDE_CAP."""
+    """The product of the trees, once its side is within
+    ``graphs.MATRIX_SIDE_CAP``."""
     check_matrix_side(math.prod(t.num_vertices for t in factor_trees))
     if len(factor_trees) == 1:
         return factor_trees[0].graph

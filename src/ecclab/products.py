@@ -20,24 +20,18 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .eccentric import eccentric_adjacency, eccentricity_profile
-from .errors import (
-    InputError,
-    PreconditionError,
-    SizeCapError,
-    UnsupportedSizeError,
-)
+from .errors import InputError, PreconditionError, UnsupportedSizeError
 from .graphs import (
     Graph,
     _graph_from_bitsets,
     _graph_unchecked,
     all_pairs_distances,
     bitset_girth,
+    check_size,
     is_connected,
     members,
 )
 from .trees import Tree, is_p2
-
-DEFAULT_SIZE_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -99,15 +93,6 @@ def _tensor_rows(relations: Sequence[Sequence[int]]) -> list[int]:
     return rows
 
 
-def _capped_index_map(factors: Sequence[Graph]) -> ProductIndexMap:
-    index_map = ProductIndexMap(tuple(g.num_vertices for g in factors))
-    if index_map.size > DEFAULT_SIZE_CAP:
-        raise SizeCapError(
-            f"product on {index_map.size} vertices exceeds the cap of {DEFAULT_SIZE_CAP}"
-        )
-    return index_map
-
-
 def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndexMap]:
     """Vertices are coordinate tuples; edges change exactly one coordinate
     along an edge of that factor.
@@ -117,9 +102,13 @@ def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndexMap]
     factor is shorter than any step along the factor before it."""
     if len(factors) < 2:
         raise InputError("need at least two factors")
-    # The cap first: the connectivity test costs O(n^2) bit work on a
-    # factor with many components.
-    index_map = _capped_index_map(factors)
+    # The caps first: the connectivity test costs O(n^2) bit work on a
+    # factor with many components. Factor i's m_i edges appear once per
+    # vertex of the other factors, size / n_i of them.
+    index_map = ProductIndexMap(tuple(g.num_vertices for g in factors))
+    size = index_map.size
+    num_edges = sum(g.num_edges * size // g.num_vertices for g in factors) if size else 0
+    check_size("product", size, num_edges)
     for g in factors:
         if g.num_vertices < 2:
             raise InputError("each factor needs at least two vertices")
@@ -136,7 +125,7 @@ def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndexMap]
     for flat, coords in enumerate(coordinates):
         for factor_steps, x in zip(steps, reversed(coords)):
             edges.extend([(flat, flat + d) for d in factor_steps[x]])
-    return Graph(index_map.size, tuple(edges)), index_map
+    return Graph(size, tuple(edges)), index_map
 
 
 def kronecker_product_graph(a: Graph, b: Graph) -> Graph:
@@ -144,7 +133,8 @@ def kronecker_product_graph(a: Graph, b: Graph) -> Graph:
     as the 2-factor Cartesian product."""
     if a.num_vertices < 2 or b.num_vertices < 2:
         raise InputError("each factor needs at least two vertices")
-    _capped_index_map((a, b))
+    # Edges uv of a and xy of b give two: (u, x)(v, y) and (u, y)(v, x).
+    check_size("product", a.num_vertices * b.num_vertices, 2 * a.num_edges * b.num_edges)
     return _graph_from_bitsets(_tensor_rows([a.neighbour_bitsets, b.neighbour_bitsets]))
 
 

@@ -5,17 +5,17 @@ entries are written as decimal strings so arbitrary-precision integers
 survive JSON number limits. ``graph_to_dict`` and ``matrix_to_dict`` define
 the fields and their order; ``graph_to_json`` and ``matrix_to_json`` write
 the bytes that ``json.dumps(..., indent=2)`` writes for those dicts, with
-``str.join`` in place of json's pure-Python indent encoder.
+``str.join`` in place of json's pure-Python indent encoder, and build
+neither dict. ``graph_to_json`` reads the graph's edges;
 ``matrix_to_json`` reads a matrix by its rows' nonzero entries, the form
-of ``eccentric.eccentricity_rows``, and builds neither its dict nor an
-``IntMatrix``.
+of ``eccentric.eccentricity_rows``, and builds no ``IntMatrix``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .errors import InputError
 from .graphs import Graph, build_graph
@@ -78,31 +78,25 @@ def graph_from_dict(data: dict) -> GraphDocument:
     )
 
 
-def _indented_json(data: dict, item_encoders: dict[str, Callable[..., str]]) -> str:
-    """``json.dumps(data, indent=2) + "\\n"`` for an object whose lists are
-    the fields named in ``item_encoders``; every other field is a scalar.
-    Each list item is encoded by its field's function, with any inner lines
-    indented as the items of a top-level list."""
-    fields = []
-    for key, value in data.items():
-        encode = item_encoders.get(key)
-        if encode is None:
-            text = json.dumps(value)
-        elif value:
-            text = "[\n    " + ",\n    ".join(map(encode, value)) + "\n  ]"
-        else:
-            text = "[]"
-        fields.append(f'"{key}": {text}')
-    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
-
-
-def _edge_text(edge: list[int]) -> str:
-    return f"[\n      {edge[0]},\n      {edge[1]}\n    ]"
+# Between two edges of a graph document: the end of one pair and the start
+# of the next.
+_EDGE_SEPARATOR = "\n    ],\n    [\n      "
 
 
 def graph_to_json(doc: GraphDocument) -> str:
-    """``json.dumps(graph_to_dict(doc), indent=2) + "\\n"``."""
-    return _indented_json(graph_to_dict(doc), {"edges": _edge_text, "labels": json.dumps})
+    """``json.dumps(graph_to_dict(doc), indent=2) + "\\n"``, written
+    straight from the graph's edges: one join over the pairs' text."""
+    edges = _EDGE_SEPARATOR.join([f"{u},\n      {v}" for u, v in doc.graph.edges])
+    fields = [
+        f'"num_vertices": {doc.graph.num_vertices}',
+        f'"edges": [\n    [\n      {edges}\n    ]\n  ]' if edges else '"edges": []',
+    ]
+    if doc.name is not None:
+        fields.append(f'"name": {json.dumps(doc.name)}')
+    if doc.labels is not None:
+        labels = ",\n    ".join(map(json.dumps, doc.labels))
+        fields.append(f'"labels": [\n    {labels}\n  ]' if labels else '"labels": []')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def save_graph(doc: GraphDocument, path: str) -> None:

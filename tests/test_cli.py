@@ -5,7 +5,8 @@ import pytest
 
 from ecclab import cli, eccentric, intmatrix
 from ecclab.cli import build_parser, main
-from ecclab.families import EDGE_CAP, complete, cycle, grid, path, star
+from ecclab.families import complete, cycle, grid, path, star
+from ecclab.graphs import EDGE_CAP
 from ecclab.intmatrix import IntMatrix
 from ecclab.products import cartesian_product
 from ecclab.serialize import GraphDocument, load_graph, matrix_to_dict, save_graph
@@ -248,6 +249,30 @@ def test_ecc_over_matrix_side_cap_exit_2_before_the_kernel(tmp_path, capsys, mon
     assert runs == []
 
 
+@pytest.mark.parametrize("flags", [[], ["--matrix"]])
+def test_ecc_over_the_edge_cap_of_e_g_exit_2_at_once(tmp_path, capsys, flags):
+    # S_707 is under every cap of its own; E(S_707) = K_708 has 250,278 edges.
+    doc = write_doc(tmp_path, "s707.json", star(707))
+    start = time.perf_counter()
+    assert main(["ecc", doc, *flags]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: E(G) with 250278 edges exceeds the cap of {EDGE_CAP}\n"
+
+
+def test_ecc_at_the_edge_cap_of_e_g_exit_0(tmp_path, capsys):
+    # E(S_706) = K_707 has 249,571 edges, the most that a star's E(G) may have.
+    doc = write_doc(tmp_path, "s706.json", star(706))
+    out = tmp_path / "e.json"
+    assert main(["ecc", doc, "-o", str(out)]) == 0
+    assert load_graph(str(out)).graph == complete(707)
+    assert main(["ecc", doc, "--matrix"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries[0] == ["0"] + ["1"] * 706
+    assert entries[706] == ["1"] + ["2"] * 705 + ["0"]
+
+
 @pytest.mark.parametrize("content", [
     b"\xff\xfe{}",  # a UTF-16 byte-order mark: not UTF-8
     b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder's recursion limit
@@ -323,6 +348,18 @@ def test_product_cartesian(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["num_vertices"] == 15
     assert "row-major" in data["name"]
+
+
+@pytest.mark.parametrize("kind, edges", [("cartesian", 2783340), ("kronecker", 194833800)])
+def test_product_over_the_edge_cap_exit_2_at_once(tmp_path, capsys, kind, edges):
+    # K_141's square has 19,881 vertices, under the vertex cap.
+    k141 = write_doc(tmp_path, "k141.json", complete(141))
+    start = time.perf_counter()
+    assert main(["product", k141, k141, "--kind", kind]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: product with {edges} edges exceeds the cap of {EDGE_CAP}\n"
 
 
 def test_product_kronecker_arity(tmp_path, capsys):

@@ -9,8 +9,9 @@ from ecclab.eccentric import (
     eccentricity_determinant,
     eccentricity_matrix,
     eccentricity_profile,
+    eccentricity_rows,
 )
-from ecclab.errors import DisconnectedGraphError, InputError
+from ecclab.errors import DisconnectedGraphError, InputError, SizeCapError
 from ecclab.families import (
     complete,
     complete_bipartite,
@@ -208,6 +209,26 @@ def test_disconnected_input_raises(f):
         f(build_graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(DisconnectedGraphError):
         f(build_graph(2, []))
+
+
+@pytest.mark.parametrize("f", [eccentric_graph, eccentricity_rows, eccentricity_matrix])
+def test_eccentric_graph_edge_cap_before_building(monkeypatch, f):
+    # S_707 is small, but E(S_707) = K_708 has 250,278 edges, 278 over the
+    # edge cap: counted from E(G)'s bitsets before any edge is built.
+    def refused(*args):
+        raise AssertionError("an over-cap E(G) was built")
+
+    monkeypatch.setattr(eccentric, "_graph_from_bitsets", refused)
+    with pytest.raises(SizeCapError, match="^E\\(G\\) with 250278 edges exceeds the cap of 250000$"):
+        f(star(707))
+
+
+@pytest.mark.parametrize("g", [path(7), cycle(8), star(5), grid(3, 4), hypercube(3)])
+def test_eccentric_graph_edge_count_is_the_built_edges(monkeypatch, g):
+    counted = []
+    monkeypatch.setattr(eccentric, "check_size", lambda *args: counted.append(args))
+    eg = eccentric_graph(g)
+    assert counted == [("E(G)", eg.num_vertices, eg.num_edges)]
 
 
 def test_eccentric_objects_build_no_distance_table(monkeypatch):

@@ -53,3 +53,16 @@ def test_intmatrix_imports_only_errors():
     # Matrices know nothing of graphs: that ε(G)'s blocks are E(G)'s
     # components is known in ``eccentric`` alone.
     assert package_imports(MODULES["intmatrix"]) == {"errors"}
+
+
+def test_size_cap_error_is_raised_only_in_graphs():
+    # One size policy: every cap is a check in ``graphs``, which the modules
+    # that build graphs or matrices call.
+    raisers = set()
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "SizeCapError":
+                    raisers.add(name)
+    assert raisers == {"graphs"}

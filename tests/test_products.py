@@ -76,6 +76,43 @@ def test_cartesian_cap_comes_before_the_connectivity_test(monkeypatch):
         cartesian_product([build_graph(20_001, []), path(2)])
 
 
+@pytest.mark.parametrize(
+    "build, edges",
+    [
+        (lambda g: cartesian_product([g, g]), 2_783_340),
+        (lambda g: kronecker_product_graph(g, g), 194_833_800),
+    ],
+    ids=["cartesian", "kronecker"],
+)
+def test_products_apply_the_edge_cap_before_building(monkeypatch, build, edges):
+    # K_141's square has 19,881 vertices, under the vertex cap, and edges
+    # far over the edge cap: 2 * 9870 * 141 of them as a Cartesian product,
+    # 2 * 9870^2 as a Kronecker product. Refused from those counts.
+    def refused(*args):
+        raise AssertionError("an over-cap product was built")
+
+    monkeypatch.setattr(products, "is_connected", refused)
+    monkeypatch.setattr(products, "_tensor_rows", refused)
+    message = f"^product with {edges} edges exceeds the cap of 250000$"
+    with pytest.raises(SizeCapError, match=message):
+        build(complete(141))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[path(2), path(2)], [path(3), cycle(4)], [star(3), complete(4)], [cycle(5), path(2), star(2)]],
+)
+def test_product_edge_counts_are_the_built_edges(monkeypatch, factors):
+    counted = []
+    monkeypatch.setattr(products, "check_size", lambda *args: counted.append(args))
+    box, _ = cartesian_product(factors)
+    tensor = kronecker_product_graph(factors[0], factors[1])
+    assert counted == [
+        ("product", box.num_vertices, box.num_edges),
+        ("product", tensor.num_vertices, tensor.num_edges),
+    ]
+
+
 def test_kronecker_graph_examples():
     k2k2 = kronecker_product_graph(complete(2), complete(2))
     assert set(k2k2.edges) == {(0, 3), (1, 2)}
