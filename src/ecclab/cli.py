@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .eccentric import eccentric_graph, eccentricity_determinant, eccentricity_rows
 from .errors import EcclabError, InputError
 from .families import FAMILIES, FamilySpec, build_family
-from .graphs import check_matrix_side, check_size
+from .graphs import check_matrix_side
 from .products import cartesian_product, kronecker_product_graph
 from .serialize import (
     GraphDocument,
@@ -45,10 +45,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise InputError("random-tree takes exactly one parameter (vertex count)")
         (n,) = args.params
         seed = 0 if args.seed is None else args.seed
-        name = f"random-tree({n}, seed={seed})"
-        check_size(name, n, n - 1)
         t = random_tree(n, seed=seed)
-        doc = GraphDocument(graph=t.graph, name=name)
+        doc = GraphDocument(graph=t.graph, name=f"random-tree({n}, seed={seed})")
     elif args.seed is not None:
         raise InputError(f"family {args.family!r} takes no seed; only random-tree does")
     else:

@@ -33,10 +33,11 @@ girth's forest test and ``eccentric.eccentricity_determinant``'s blocks; it
 also gives each component's even-layer mask, the two sides of a bipartite
 one.
 
-The size policy lives here too, one check per kind of cap: every graph
-that ecclab builds from counts, a family, a product or an eccentric graph,
-passes ``check_size`` before any edge of it exists, and every graph whose
-eccentricity matrix the CLI or the invertibility checks read passes
+The size policy lives here too, one check per kind of cap: every
+constructor of a graph from counts, a family, a random tree, a product or
+an eccentric graph, passes its own exact counts to ``check_size`` before
+any edge of it exists, on library calls as on the CLI's, and every graph
+whose eccentricity matrix the CLI or the invertibility checks read passes
 ``check_matrix_side``.
 """
 

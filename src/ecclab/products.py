@@ -244,6 +244,10 @@ def grid_eccentric_closed_form(m: int, n: int) -> Graph:
     deviates (see the product girth classification)."""
     if m < 3 or n < 3:
         raise UnsupportedSizeError("closed form requires m, n >= 3")
+    # Vertex (x, y) lists a corner per pair of far ends of x in P_m and y in
+    # P_n, which the middle of an odd path has two of: (m + m%2)(n + n%2)
+    # pairs, in which each diagonal between opposite corners appears twice.
+    check_size(f"E(grid({m}, {n}))", m * n, (m + m % 2) * (n + n % 2) - 2)
     far_ends = []
     for k in (m, n):
         rows = [0] * k

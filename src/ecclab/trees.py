@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from .eccentric import eccentric_adjacency
 from .errors import InputError, NoStemError, UnsupportedSizeError
-from .graphs import Graph, _graph_unchecked, bfs_distances, is_connected, members
+from .graphs import Graph, _graph_unchecked, bfs_distances, check_size, is_connected, members
 
 ENUMERATION_MAX_VERTICES = 8
 
@@ -100,6 +100,7 @@ def random_tree(n: int, seed: int) -> Tree:
     """Uniformly random labeled tree; identical (n, seed) gives identical trees."""
     if n < 2:
         raise InputError("random trees need at least two vertices")
+    check_size(f"random-tree({n}, seed={seed})", n, n - 1)
     rng = random.Random(seed)
     sequence = tuple(rng.randrange(n) for _ in range(n - 2))
     return _tree_unchecked(n, prufer_decode(sequence, n))

@@ -95,6 +95,14 @@ def test_gen_over_a_cap_exit_2_at_once(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_gen_grid_rejects_negative_sides_before_counting_exit_2(capsys):
+    # -200 x -200 would count as 40,000 vertices: the sides are checked first.
+    assert main(["gen", "grid", "-200", "-200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid needs at least two vertices per side\n"
+
+
 @pytest.mark.parametrize("argv", [["hypercube", "14"], ["path", "20000"]])
 def test_gen_at_the_caps_exit_0(tmp_path, argv):
     out = tmp_path / "g.json"

@@ -4,14 +4,14 @@ import time
 
 import pytest
 
-from ecclab import families
+from ecclab import families, products, trees
 from ecclab.eccentric import eccentric_graph
 from ecclab.errors import InputError, SizeCapError
 from ecclab.families import (
-    _SIZES,
     FAMILIES,
     FamilySpec,
     build_family,
+    complete,
     complete_bipartite,
     cycle,
     double_star,
@@ -22,6 +22,8 @@ from ecclab.families import (
     path,
     star,
 )
+from ecclab.products import grid_eccentric_closed_form
+from ecclab.trees import random_tree
 
 
 def test_constructor_shapes():
@@ -56,16 +58,25 @@ def test_build_family_dispatch():
         build_family(FamilySpec("path", (3, 4)))
 
 
-def test_size_counts_match_the_built_graphs():
-    # The gen caps read these counts in place of the graph.
-    for family, build in FAMILIES.items():
+@pytest.mark.parametrize("table", [FAMILIES, families._EXPECTED], ids=["family", "expected"])
+def test_constructors_check_the_counts_they_build(monkeypatch, table):
+    # Every constructor first passes its own name and the exact counts of
+    # the graph it builds to ``check_size``; the constructors it calls
+    # then check their own.
+    checked = []
+    monkeypatch.setattr(families, "check_size", lambda *args: checked.append(args))
+    for family, build in table.items():
         arity = build.__code__.co_argcount
-        for params in itertools.product(range(1, 6), repeat=arity):
+        for params in itertools.product(range(1, 7), repeat=arity):
+            checked.clear()
             try:
                 g = build(*params)
             except InputError:
+                assert checked == [], (family, params)
                 continue
-            assert _SIZES[family](*params) == (g.num_vertices, g.num_edges), (family, params)
+            spec = FamilySpec(family, params)
+            name = spec.name if table is FAMILIES else f"E({spec.name})"
+            assert checked[0] == (name, g.num_vertices, g.num_edges), (family, params)
 
 
 def test_expected_eccentric_labeled_examples():
@@ -107,13 +118,60 @@ def test_expected_eccentric_rejects_bad_parameters(spec):
 def test_expected_eccentric_applies_the_size_caps_before_building(monkeypatch):
     # K_1000 has 499,500 edges: refused from its counts, as by build_family,
     # before any edge of it or of its eccentric graph is built.
-    built = []
-    monkeypatch.setitem(families._EXPECTED, "complete", lambda n: built.append(n))
+    def refused(*args):
+        raise AssertionError("an over-cap graph was built")
+
+    monkeypatch.setattr(families, "_graph_unchecked", refused)
     spec = FamilySpec("complete", (1000,))
     for call in (build_family, expected_eccentric):
         with pytest.raises(SizeCapError, match="499500 edges exceeds the cap"):
             call(spec)
-    assert built == []
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (FamilySpec("star", (0,)), "star needs at least one leaf"),
+        (FamilySpec("star", (-3,)), "star needs at least one leaf"),
+        (FamilySpec("complete", (1,)), "eccentric graph needs at least two vertices"),
+        (FamilySpec("complete", (0,)), "eccentric graph needs at least two vertices"),
+        (FamilySpec("path", (1,)), "eccentric graph needs at least two vertices"),
+    ],
+    ids=["star-0", "star-negative", "complete-1", "complete-0", "path-1"],
+)
+def test_expected_eccentric_rejects_inputs_with_no_eccentric_graph(spec, message):
+    # K_1 has no eccentric graph, and star(0) is no graph at all.
+    with pytest.raises(InputError, match=f"^{message}$"):
+        expected_eccentric(spec)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (path, (20_001,), "path(20001) on 20001 vertices"),
+        (star, (20_000,), "star(20000) on 20001 vertices"),
+        (complete, (1000,), "complete(1000) with 499500 edges"),
+        (random_tree, (20_001, 0), "random-tree(20001, seed=0) on 20001 vertices"),
+        (grid_eccentric_closed_form, (200, 101), "E(grid(200, 101)) on 20200 vertices"),
+        (hypercube, (15,), "hypercube(15) on 32768 vertices"),
+    ],
+    ids=["path", "star", "complete", "random-tree", "grid-closed-form", "hypercube"],
+)
+def test_library_constructors_apply_the_size_caps_before_building(
+    monkeypatch, build, args, message
+):
+    # Direct calls are capped as ``gen`` is: no edge of the graph exists.
+    def refused(*args):
+        raise AssertionError("an over-cap graph was built")
+
+    for module, name in [(families, "_graph_unchecked"), (families, "cartesian_product"),
+                         (trees, "prufer_decode"), (trees, "_tree_unchecked"),
+                         (products, "_tensor_rows"), (products, "_graph_unchecked")]:
+        monkeypatch.setattr(module, name, refused)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match=f"^{re.escape(message)} exceeds the cap of "):
+        build(*args)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
@@ -131,19 +189,6 @@ def test_expected_eccentric_caps_the_eccentric_graphs_own_edges(spec, edges):
     with pytest.raises(SizeCapError, match=message):
         expected_eccentric(spec)
     assert time.perf_counter() - start < 1.0
-
-
-def test_expected_sizes_match_the_built_eccentric_graphs():
-    # The caps of ``expected_eccentric`` read these counts in place of E(G).
-    for family, build in families._EXPECTED.items():
-        arity = build.__code__.co_argcount
-        for params in itertools.product(range(1, 7), repeat=arity):
-            try:
-                g = build(*params)
-            except InputError:
-                continue
-            counts = families._EXPECTED_SIZES[family](*params)
-            assert counts == (g.num_vertices, g.num_edges), (family, params)
 
 
 @pytest.mark.parametrize("n", range(2, 12))

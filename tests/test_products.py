@@ -266,6 +266,16 @@ def test_grid_closed_form():
         grid_eccentric_closed_form(2, 5)
 
 
+def test_grid_closed_form_counts_are_the_built_graph(monkeypatch):
+    counted = []
+    monkeypatch.setattr(products, "check_size", lambda *args: counted.append(args))
+    for m in range(3, 20):
+        for n in range(3, 20):
+            counted.clear()
+            g = grid_eccentric_closed_form(m, n)
+            assert counted == [(f"E(grid({m}, {n}))", g.num_vertices, g.num_edges)]
+
+
 def test_two_row_grid_boundary_case():
     # The quadrant closed form needs m, n >= 3: the 3x2 grid's eccentric
     # graph has girth 6, not the 4 the mixed-parity rule would give.

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
 from conftest import brute_force_girth
+from ecclab import graphs as graph_module
 from ecclab.eccentric import eccentric_graph, eccentricity_determinant, eccentricity_matrix
 from ecclab.errors import DisconnectedGraphError
 from ecclab.families import complete, cycle, path
@@ -90,6 +92,63 @@ def test_eccentric_sets_match_bfs(g):
     assert ecc == dd.ecc
     for v in range(g.num_vertices):
         assert members(far[v]) == [u for u, d in enumerate(dd.dist[v]) if d == dd.ecc[v]]
+
+
+@st.composite
+def long_radius_graphs(draw):
+    """Connected graphs of 40-200 vertices whose shape keeps the radius
+    above ``graphs._DOUBLING_RADIUS`` (16). Pendants, tails and subtrees
+    shorten no distance, and a radius is at least half the diameter:
+    - a path spine of 50-180 vertices with up to 20 pendants and at most
+      one chord of length 2-4 per 10 spine vertices, each of which takes at
+      most 3 off the spine's diameter, so it stays at least 34;
+    - a cycle of 40-120 vertices with up to 4 tails, on which every vertex
+      is at least 20 from the antipode of its cycle vertex;
+    - a tree grown off a spine of 40-120 vertices, of diameter at least 39.
+    """
+    kind = draw(st.sampled_from(["chorded path", "cycle with tails", "spined tree"]))
+    if kind == "chorded path":
+        n = draw(st.integers(50, 180))
+        edges = [(i, i + 1) for i in range(n - 1)]
+        for _ in range(draw(st.integers(0, n // 10))):
+            i = draw(st.integers(0, n - 3))
+            edges.append((i, min(i + draw(st.integers(2, 4)), n - 1)))
+        for v in draw(st.lists(st.integers(0, n - 1), max_size=20)):
+            edges.append((v, n))
+            n += 1
+    elif kind == "cycle with tails":
+        n = draw(st.integers(40, 120))
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        for _ in range(draw(st.integers(0, 4))):
+            end = draw(st.integers(0, n - 1))
+            for _ in range(draw(st.integers(1, 20))):
+                edges.append((end, n))
+                end = n
+                n += 1
+    else:
+        spine = draw(st.integers(40, 120))
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        parents = draw(st.lists(st.integers(0, 199), max_size=200 - spine))
+        edges += [(p % v, v) for v, p in enumerate(parents, start=spine)]
+        n = spine + len(parents)
+    return build_graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_radius_graphs())
+def test_eccentric_sets_match_bfs_past_the_doubling_radius(g):
+    # The balls double at radius 16, then finish by single steps or by the
+    # descent: a descent cost of 0 always descends, and one no graph
+    # reaches never does.
+    dd = all_pairs_distances(g)
+    assert min(dd.ecc) > graph_module._DOUBLING_RADIUS
+    far = tuple(
+        sum(1 << u for u, d in enumerate(row) if d == e) for row, e in zip(dd.dist, dd.ecc)
+    )
+    for cost in (graph_module._DESCENT_COST, 0, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_DESCENT_COST", cost)
+            assert eccentric_sets(g) == (dd.ecc, far), cost
 
 
 @given(graphs(connected=True))
