@@ -196,10 +196,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EcclabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EcclabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,11 +96,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours, ascending with no sort: ``edges`` is sorted, so every
+        pair (u, x) with u < x comes before every pair (x, v)."""
         nbrs: list[list[int]] = [[] for _ in range(self.num_vertices)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def neighbour_bitsets(self) -> tuple[int, ...]:

@@ -24,10 +24,15 @@ from .trees import Tree, is_p2, is_p4, is_star
 @dataclass(frozen=True)
 class InvertibilityCheck:
     predicted: bool
-    computed: bool
-    agree: bool
     det: int
 
+    @property
+    def computed(self) -> bool:
+        return self.det != 0
+
+    @property
+    def agree(self) -> bool:
+        return self.predicted == self.computed
 
 def predicted_invertible(factor_trees: Sequence[Tree]) -> bool:
     """True iff some factor is a star or P_4 and all the others are P_2."""
@@ -52,11 +57,7 @@ def _product_graph(factor_trees: Sequence[Tree]) -> Graph:
 def check_invertibility_classification(factor_trees: Sequence[Tree]) -> InvertibilityCheck:
     """Compare the star/P_4 prediction with the exact determinant."""
     predicted = predicted_invertible(factor_trees)
-    det = eccentricity_determinant(_product_graph(factor_trees))
-    computed = det != 0
-    return InvertibilityCheck(
-        predicted=predicted, computed=computed, agree=predicted == computed, det=det
-    )
+    return InvertibilityCheck(predicted, eccentricity_determinant(_product_graph(factor_trees)))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,12 @@ any reported failure is replayable.
 
 A suite is a :class:`Suite` record in :data:`SUITES`: its corpus function
 splits the cases into picklable chunks, and one runner checks the chunks
-serially or over a process pool. The checks reach the library through this
-module's globals, so rebinding a name here (as a tracer does) reaches them.
+serially or over a process pool. A check returns its case's failure
+witness, or None when the case passes; a graph in a witness input is a
+document of ``serialize.graph_to_dict``, which ``load_graph`` and ``ecclab
+ecc`` read back. The checks are module-level functions that reach the
+library through this module's globals, so rebinding a name here (as a
+tracer does) reaches them.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .products import (
     kronecker_product_graph,
     predicted_tree_product_girth,
 )
+from .serialize import GraphDocument, graph_to_dict
 from .trees import (
     ENUMERATION_MAX_VERTICES,
     Tree,
@@ -78,27 +83,21 @@ class CheckReport:
 class Suite:
     """``options`` maps each option the corpus takes to its default (a fixed
     corpus takes none); ``corpus(**options)`` returns a description of the
-    cases and their chunks; ``check(case)`` returns ``(ok, witness)``."""
+    cases and their chunks; ``check(case)`` returns its failure witness or None."""
 
     name: str
     options: dict[str, int]
     corpus: Callable[..., tuple[str, list[Chunk]]]
-    check: Callable[[object], tuple[bool, Optional[dict]]]
+    check: Callable[[object], Optional[dict]]
 
 
 def _witness(input_desc, expected, actual) -> dict:
     return {"input": input_desc, "expected": expected, "actual": actual}
 
 
-def _tree_desc(t: Tree) -> dict:
-    return {"num_vertices": t.num_vertices, "edges": [list(e) for e in t.graph.edges]}
-
-
-def _factors_desc(factors) -> list[dict]:
-    return [
-        {"num_vertices": g.num_vertices, "edges": [list(e) for e in g.edges]}
-        for g in factors
-    ]
+def _document(g: Graph) -> dict:
+    """A witness input graph, as ``save_graph`` writes it."""
+    return graph_to_dict(GraphDocument(graph=g))
 
 
 def _drawn(cases: list) -> list[Chunk]:
@@ -134,25 +133,25 @@ def _tree_corpus(trees_max_n: int, samples: int, seed: int) -> tuple[str, list[C
     return corpus, chunks
 
 
-def _check_tree_girth(t: Tree):
+def _check_tree_girth(t: Tree) -> Optional[dict]:
     expected = predicted_tree_girth(t)
     actual = eccentric_girth(t.graph)
     if actual == expected and expected in (0, 3, 4):
-        return True, None
-    return False, _witness(_tree_desc(t), expected, actual)
+        return None
+    return _witness(_document(t.graph), expected, actual)
 
 
-def _check_tree_structure(t: Tree):
+def _check_tree_structure(t: Tree) -> Optional[dict]:
     ok, edge = check_structure_theorem(t)
     if ok:
-        return True, None
-    return False, _witness(_tree_desc(t), "union equals eccentric graph", f"edge {edge} differs")
+        return None
+    return _witness(_document(t.graph), "union equals eccentric graph", f"edge {edge} differs")
 
 
-def _check_tree_monotone(t: Tree):
+def _check_tree_monotone(t: Tree) -> Optional[dict]:
     if check_monotone_exclusion(t):
-        return True, None
-    return False, _witness(_tree_desc(t), "no increasing 2-path", "increasing 2-path found")
+        return None
+    return _witness(_document(t.graph), "no increasing 2-path", "increasing 2-path found")
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +177,16 @@ def _factors_corpus(samples: int, seed: int) -> tuple[str, list[Chunk]]:
     return corpus, _drawn(cases)
 
 
-def _check_additivity(factors: list[Graph]):
+def _check_additivity(factors: list[Graph]) -> Optional[dict]:
     if check_additivity(factors):
-        return True, None
-    return False, _witness(_factors_desc(factors), "additive distances", "mismatch")
+        return None
+    return _witness(list(map(_document, factors)), "additive distances", "mismatch")
 
 
-def _check_componentwise(factors: list[Graph]):
+def _check_componentwise(factors: list[Graph]) -> Optional[dict]:
     if check_componentwise_eccentric(factors):
-        return True, None
-    return False, _witness(_factors_desc(factors), "componentwise equivalence", "mismatch")
+        return None
+    return _witness(list(map(_document, factors)), "componentwise equivalence", "mismatch")
 
 
 def _random_tree_tuple(rng: random.Random) -> list[Tree]:
@@ -219,13 +218,13 @@ def _tree_tuple_corpus(samples: int, seed: int) -> tuple[str, list[Chunk]]:
     return corpus, _drawn(cases)
 
 
-def _check_product_girth(factor_trees: list[Tree]):
+def _check_product_girth(factor_trees: list[Tree]) -> Optional[dict]:
     expected = predicted_tree_product_girth(factor_trees)
-    product, _ = cartesian_product([t.graph for t in factor_trees])
-    actual = eccentric_girth(product)
+    factors = [t.graph for t in factor_trees]
+    actual = eccentric_girth(cartesian_product(factors)[0])
     if actual == expected:
-        return True, None
-    return False, _witness(_factors_desc([t.graph for t in factor_trees]), expected, actual)
+        return None
+    return _witness(list(map(_document, factors)), expected, actual)
 
 
 def _grid_corpus() -> tuple[str, list[Chunk]]:
@@ -233,15 +232,14 @@ def _grid_corpus() -> tuple[str, list[Chunk]]:
     return "grids P_m box P_n for 3 <= m, n <= 8", _drawn(cases)
 
 
-def _check_grid(case: tuple[int, int]):
+def _check_grid(case: tuple[int, int]) -> Optional[dict]:
     m, n = case
-    product, _ = cartesian_product([path(m), path(n)])
-    actual = eccentric_graph(product)
+    actual = eccentric_graph(cartesian_product([path(m), path(n)])[0])
     predicted = grid_eccentric_closed_form(m, n)
     expected_girth = predicted_tree_product_girth([Tree(path(m)), Tree(path(n))])
     if actual == predicted and girth(actual) == expected_girth:
-        return True, None
-    return False, _witness(
+        return None
+    return _witness(
         {"m": m, "n": n},
         {"edges": len(predicted.edges), "girth": expected_girth},
         {"edges": len(actual.edges), "girth": girth(actual)},
@@ -253,11 +251,10 @@ def _cycle_product_corpus() -> tuple[str, list[Chunk]]:
     return "cycle products C_n box C_m for 3 <= n, m <= 10", _drawn(cases)
 
 
-def _check_cycle_product(case: tuple[int, int]):
+def _check_cycle_product(case: tuple[int, int]) -> Optional[dict]:
     n, m = case
     report = cycle_product_structure(n, m)
-    product, _ = cartesian_product([cycle(n), cycle(m)])
-    eg = eccentric_graph(product)
+    eg = eccentric_graph(cartesian_product([cycle(n), cycle(m)])[0])
     comps = connected_components(eg)
     expected = {
         "girth": report.predicted_girth,
@@ -272,23 +269,23 @@ def _check_cycle_product(case: tuple[int, int]):
         "num_edges": eg.num_edges,
     }
     if actual == expected:
-        return True, None
-    return False, _witness({"n": n, "m": m}, expected, actual)
+        return None
+    return _witness({"n": n, "m": m}, expected, actual)
 
 
 def _cncn_corpus() -> tuple[str, list[Chunk]]:
     return "C_n box C_n vs C_n x C_n for n in {3, 5, 7, 9}", _drawn([3, 5, 7, 9])
 
 
-def _check_cncn_iso(n: int):
+def _check_cncn_iso(n: int) -> Optional[dict]:
     perm = cn_cn_isomorphism(n)
     box, _ = cartesian_product([cycle(n), cycle(n)])
     tensor = kronecker_product_graph(cycle(n), cycle(n))
     # Labeled equality of the relabeled box product and the tensor
     # product checks edge preservation in both directions at once.
     if apply_vertex_map(box, perm) == tensor:
-        return True, None
-    return False, _witness({"n": n}, "isomorphic via closed-form map", "edge mismatch")
+        return None
+    return _witness({"n": n}, "isomorphic via closed-form map", "edge mismatch")
 
 
 def _self_centered_corpus() -> tuple[str, list[Chunk]]:
@@ -304,10 +301,10 @@ def _self_centered_corpus() -> tuple[str, list[Chunk]]:
     return corpus, _drawn(pairs)
 
 
-def _check_kronecker_correspondence(pair: tuple[Graph, Graph]):
+def _check_kronecker_correspondence(pair: tuple[Graph, Graph]) -> Optional[dict]:
     if check_kronecker_correspondence(*pair):
-        return True, None
-    return False, _witness(_factors_desc(pair), "identity-map edge equality", "mismatch")
+        return None
+    return _witness(list(map(_document, pair)), "identity-map edge equality", "mismatch")
 
 
 def _random_matrix(rng: random.Random, n: int, bound: int) -> IntMatrix:
@@ -331,7 +328,7 @@ def _matrix_corpus(samples: int, seed: int) -> tuple[str, list[Chunk]]:
     return corpus, _drawn(cases)
 
 
-def _check_determinant(case: tuple[IntMatrix, ...]):
+def _check_determinant(case: tuple[IntMatrix, ...]) -> Optional[dict]:
     if len(case) == 1:
         (m,) = case
         actual, expected = determinant(m), determinant_oracle(m)
@@ -342,8 +339,8 @@ def _check_determinant(case: tuple[IntMatrix, ...]):
         expected = determinant(a) ** b.rows * determinant(b) ** a.rows
         input_desc = {"a": [list(r) for r in a.entries], "b": [list(r) for r in b.entries]}
     if actual == expected:
-        return True, None
-    return False, _witness(input_desc, expected, actual)
+        return None
+    return _witness(input_desc, expected, actual)
 
 
 def _invertibility_corpus(samples: int, seed: int) -> tuple[str, list[Chunk]]:
@@ -364,12 +361,12 @@ def _invertibility_corpus(samples: int, seed: int) -> tuple[str, list[Chunk]]:
     return corpus, _drawn(cases)
 
 
-def _check_invertibility(factor_trees: list[Tree]):
+def _check_invertibility(factor_trees: list[Tree]) -> Optional[dict]:
     result = check_invertibility_classification(factor_trees)
     if result.agree:
-        return True, None
-    return False, _witness(
-        _factors_desc([t.graph for t in factor_trees]),
+        return None
+    return _witness(
+        [_document(t.graph) for t in factor_trees],
         {"predicted_invertible": result.predicted},
         {"det": result.det},
     )
@@ -405,13 +402,14 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def _run_chunk(check: Callable, chunk: Chunk) -> tuple[int, int, Optional[dict]]:
-    """Pass and fail counts of one chunk, with its first failure witness."""
+    """Pass and fail counts of one chunk, with its first failure witness; a
+    case passes when its check returns None."""
     cases, args = chunk
     passed = failed = 0
     witness = None
     for case in cases(*args):
-        ok, w = check(case)
-        if ok:
+        w = check(case)
+        if w is None:
             passed += 1
         else:
             failed += 1

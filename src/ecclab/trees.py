@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from .eccentric import eccentric_adjacency
 from .errors import InputError, NoStemError, UnsupportedSizeError
-from .graphs import Graph, _graph_unchecked, bfs_distances, check_size, is_connected, members
+from .graphs import Graph, bfs_distances, check_size, is_connected, members
 
 ENUMERATION_MAX_VERTICES = 8
 
@@ -43,8 +43,9 @@ class Tree:
 
 
 def _tree_unchecked(num_vertices: int, edges) -> Tree:
+    """A tree from normalized, distinct edges, as Prüfer decoding gives."""
     t = object.__new__(Tree)
-    object.__setattr__(t, "graph", _graph_unchecked(num_vertices, edges))
+    object.__setattr__(t, "graph", Graph(num_vertices, tuple(sorted(edges))))
     return t
 
 

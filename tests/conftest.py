@@ -29,6 +29,17 @@ def reference_tree() -> Tree:
     return Tree(build_graph(12, REFERENCE_TREE_EDGES))
 
 
+def spider(legs: int, length: int):
+    """``legs`` paths of ``length`` vertices each, joined at a centre,
+    vertex 0: its radius is ``length``, from the centre."""
+    edges = []
+    for leg in range(legs):
+        start = 1 + leg * length
+        edges.append((0, start))
+        edges += [(v, v + 1) for v in range(start, start + length - 1)]
+    return build_graph(1 + legs * length, edges)
+
+
 def brute_force_girth(g) -> int:
     """Girth oracle: for each edge uv, the shortest u-v path that avoids
     that edge, plus 1; 0 when no edge lies on a cycle. Reads only

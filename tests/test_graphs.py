@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import brute_force_girth
+from conftest import brute_force_girth, spider
 from ecclab import graphs
 from ecclab.eccentric import eccentric_graph
 from ecclab.errors import DisconnectedGraphError, InputError
@@ -226,6 +226,29 @@ def test_descent_runs_only_where_the_single_steps_left_cost_more(monkeypatch):
     for g in long_tails + short_tails:
         eccentric_sets(g)
     assert descended == long_tails
+
+
+@functools.lru_cache(maxsize=None)
+def spider_and_oracle(legs, length):
+    g = spider(legs, length)
+    return g, bfs_eccentric_sets(g)
+
+
+@pytest.mark.parametrize("cost", [graphs._DESCENT_COST, 0], ids=["cost", "cost0"])
+@pytest.mark.parametrize("legs, length", [(20, 17), (30, 18), (40, 20)])
+def test_eccentric_sets_match_bfs_when_doubling_would_cost_more(legs, length, cost, monkeypatch):
+    # Every radius exceeds 16, but a leaf's sphere at radius 16 crosses the
+    # centre into every other leg, so a doubling round would cost more ORs
+    # than the 16 single steps it replaces: ``_doubled_balls`` stops before
+    # it lists any sphere's members, and single steps finish.
+    doubled, listed = [], []
+    real = graphs._doubled_balls
+    monkeypatch.setattr(graphs, "_DESCENT_COST", cost)
+    monkeypatch.setattr(graphs, "_doubled_balls", lambda *args: doubled.append(1) or real(*args))
+    monkeypatch.setattr(graphs, "members", lambda mask: listed.append(mask) or members(mask))
+    g, expected = spider_and_oracle(legs, length)
+    assert eccentric_sets(g) == expected
+    assert doubled and not listed
 
 
 class CountingAdjacency(tuple):

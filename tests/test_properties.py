@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import brute_force_girth
+from conftest import brute_force_girth, spider
 from ecclab import graphs as graph_module
 from ecclab.eccentric import eccentric_graph, eccentricity_determinant, eccentricity_matrix
 from ecclab.errors import DisconnectedGraphError
@@ -23,7 +23,7 @@ from ecclab.graphs import (
 )
 from ecclab.intmatrix import IntMatrix, determinant, determinant_oracle
 from ecclab.products import ProductIndexMap, _tensor_rows, cartesian_product
-from ecclab.trees import prufer_decode, random_tree
+from ecclab.trees import _tree_unchecked, prufer_decode, random_tree
 
 
 @st.composite
@@ -96,7 +96,7 @@ def test_eccentric_sets_match_bfs(g):
 
 @st.composite
 def long_radius_graphs(draw):
-    """Connected graphs of 40-200 vertices whose shape keeps the radius
+    """Connected graphs of 40-801 vertices whose shape keeps the radius
     above ``graphs._DOUBLING_RADIUS`` (16). Pendants, tails and subtrees
     shorten no distance, and a radius is at least half the diameter:
     - a path spine of 50-180 vertices with up to 20 pendants and at most
@@ -104,9 +104,14 @@ def long_radius_graphs(draw):
       most 3 off the spine's diameter, so it stays at least 34;
     - a cycle of 40-120 vertices with up to 4 tails, on which every vertex
       is at least 20 from the antipode of its cycle vertex;
-    - a tree grown off a spine of 40-120 vertices, of diameter at least 39.
+    - a tree grown off a spine of 40-120 vertices, of diameter at least 39;
+    - a spider of 20-40 legs of 17-20 vertices, of radius its leg length,
+      whose spheres at radius 16 cross the centre into every leg, so that
+      a doubling round would cost more than the single steps it replaces.
     """
-    kind = draw(st.sampled_from(["chorded path", "cycle with tails", "spined tree"]))
+    kind = draw(st.sampled_from(["chorded path", "cycle with tails", "spined tree", "spider"]))
+    if kind == "spider":
+        return spider(draw(st.integers(20, 40)), draw(st.integers(17, 20)))
     if kind == "chorded path":
         n = draw(st.integers(50, 180))
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -253,6 +258,15 @@ def test_random_tree_determinism(n, seed):
     assert random_tree(n, seed).graph == random_tree(n, seed).graph
 
 
+@given(st.integers(2, 12), st.data())
+def test_tree_unchecked_equals_build_graph(n, data):
+    # The Prüfer decode gives normalized, distinct edges, so sorting them
+    # gives the edges that build_graph normalizes.
+    seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
+    edges = prufer_decode(seq, n)
+    assert _tree_unchecked(n, edges).graph == build_graph(n, edges)
+
+
 @settings(max_examples=60)
 @given(
     st.integers(1, 5).flatmap(
@@ -344,3 +358,18 @@ def test_cartesian_product_edges_come_out_normalized(factors):
     assert g.num_edges == sum(
         f.num_edges * im.size // f.num_vertices for f in factors
     )
+
+
+built_graphs = st.one_of(
+    graphs(min_vertices=1),
+    st.lists(factor_graphs, min_size=2, max_size=3).map(lambda fs: cartesian_product(fs)[0]),
+    graphs(connected=True).map(eccentric_graph),
+    st.tuples(st.integers(2, 40), st.integers(0, 2**20)).map(lambda nk: random_tree(*nk).graph),
+)
+
+
+@given(built_graphs)
+def test_adjacency_rows_ascend(g):
+    # ``Graph.adjacency`` sorts no row: every constructor's edges are
+    # sorted, so each row comes out ascending.
+    assert g.adjacency == tuple(tuple(members(b)) for b in g.neighbour_bitsets)
